@@ -102,4 +102,20 @@ for ff in 1 0; do
   done
 done
 
+echo "==> perfbench correctness gate (oracle agreement, exact-count repeats)"
+# Short perfbench runs of the two workloads with armed windows. Each ends
+# with a JSON line whose "correct" field folds in the oracle comparison of
+# every timed pass and, on the traced run, the exact-count repeat check of
+# the replica passes — host-independent verdicts on macro-stepping inside
+# armed injection windows. Timings are printed, never gated here.
+for run in "armed_unique 0" "tcov 0" "armed_unique 1"; do
+  set -- $run
+  last="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$1" --seconds 1 --trace "$2" | tail -n 1)"
+  case "$last" in
+    *'"correct": true'*) ;;
+    *) echo "perfbench $1 --trace $2 is not correct: $last"; exit 1 ;;
+  esac
+done
+
 echo "CI green."

@@ -134,14 +134,53 @@ impl HardwareWatchdog {
         self.timeout
     }
 
-    /// Shifts the last-kick stamp forward by `by` — the closed-form
-    /// application of a quiescent hyperperiod: a steadily kicked watchdog
-    /// advances `last_kick` by exactly the hyperperiod while expiry state
-    /// and statistics stay put (which the deriving engine verifies by
-    /// comparing a shifted clone for full equality).
-    pub fn shift_last_kick(&mut self, by: Duration) {
-        self.last_kick += by;
+    /// Derives the per-hyperperiod motion between two states `h` apart,
+    /// or `None` when it has no closed form. Configuration, the expired
+    /// flag and the first expiry must be equal; the statistics may only
+    /// grow; and the last kick must be exactly `h` later — a steadily
+    /// kicked watchdog — or unchanged while expired in both states (a
+    /// starved one that already fired: a not-yet-expired countdown that
+    /// stands still would expire at some later instant the closed form
+    /// cannot see).
+    pub fn derive_cycle_delta(a: &Self, b: &Self, h: Duration) -> Option<HwCycleDelta> {
+        if a.timeout != b.timeout
+            || a.window_closed != b.window_closed
+            || a.expired != b.expired
+            || a.first_expiry != b.first_expiry
+        {
+            return None;
+        }
+        let d_last_kick = if b.last_kick == a.last_kick + h {
+            h
+        } else if b.last_kick == a.last_kick && a.expired {
+            Duration::ZERO
+        } else {
+            return None;
+        };
+        Some(HwCycleDelta {
+            d_last_kick,
+            d_expirations: b.expirations.checked_sub(a.expirations)?,
+            d_early_kicks: b.early_kicks.checked_sub(a.early_kicks)?,
+        })
     }
+
+    /// Applies a derived per-hyperperiod delta `k` times in closed form.
+    pub fn apply_cycle_delta(&mut self, delta: &HwCycleDelta, k: u64) {
+        self.last_kick += delta.d_last_kick * k;
+        let times = |step: u32| u32::try_from(step as u64 * k).expect("counter fits u32");
+        self.expirations += times(delta.d_expirations);
+        self.early_kicks += times(delta.d_early_kicks);
+    }
+}
+
+/// The closed-form per-hyperperiod motion of a [`HardwareWatchdog`]:
+/// derived by [`HardwareWatchdog::derive_cycle_delta`], applied by
+/// [`HardwareWatchdog::apply_cycle_delta`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HwCycleDelta {
+    d_last_kick: Duration,
+    d_expirations: u32,
+    d_early_kicks: u32,
 }
 
 #[cfg(test)]

@@ -36,5 +36,5 @@ pub mod hw_watchdog;
 pub mod task_monitors;
 
 pub use cfcss::{BlockId, CfcssMonitor, CfcssProgram, ControlFlowGraph};
-pub use hw_watchdog::{HardwareWatchdog, KickOutcome};
-pub use task_monitors::{DeadlineMonitor, ExecutionTimeMonitor, TaskMonitorStats};
+pub use hw_watchdog::{HardwareWatchdog, HwCycleDelta, KickOutcome};
+pub use task_monitors::{DeadlineMonitor, ExecutionTimeMonitor, TaskMonitorImage, TaskMonitorStats};

@@ -38,11 +38,68 @@ impl TaskMonitorStats {
         self.first_detection
     }
 
+    /// Captures the statistics into a plain, capacity-retaining image
+    /// (allocation-free once warm — the macro-stepping engine samples
+    /// through this every certification).
+    pub fn image_into(&self, image: &mut TaskMonitorImage) {
+        image.detections.clear();
+        image
+            .detections
+            .extend(self.detections.iter().map(|(&task, &n)| (task, n)));
+        image.first_detection = self.first_detection;
+    }
+
+    /// Applies `k` hyperperiods of a derived detection advance (see
+    /// [`TaskMonitorImage::derive_advance`]).
+    pub fn apply_advance(&mut self, advance: &[(TaskId, u32)], k: u64) {
+        for &(task, step) in advance {
+            *self
+                .detections
+                .get_mut(&task)
+                .expect("advanced tasks exist in the certified statistics") +=
+                u32::try_from(step as u64 * k).expect("detections fit u32");
+        }
+    }
+
     fn record(&mut self, task: TaskId, at: Instant) {
         *self.detections.entry(task).or_insert(0) += 1;
         if self.first_detection.is_none() {
             self.first_detection = Some((task, at));
         }
+    }
+}
+
+/// Plain image of [`TaskMonitorStats`]: per-task detection counts in task
+/// order plus the first detection.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TaskMonitorImage {
+    detections: Vec<(TaskId, u32)>,
+    first_detection: Option<(TaskId, Instant)>,
+}
+
+impl TaskMonitorImage {
+    /// Derives the per-hyperperiod detection advance between two images
+    /// one hyperperiod apart into `out` (tasks that did not move are left
+    /// out). The first detection and the set of detecting tasks must be
+    /// the same; counts may only grow — a persistently slowed task misses
+    /// its deadline the same number of times every hyperperiod, and the
+    /// count feeds no later decision.
+    pub fn derive_advance(a: &Self, b: &Self, out: &mut Vec<(TaskId, u32)>) -> bool {
+        out.clear();
+        if a.first_detection != b.first_detection || a.detections.len() != b.detections.len() {
+            return false;
+        }
+        for (&(ta, na), &(tb, nb)) in a.detections.iter().zip(&b.detections) {
+            match nb.checked_sub(na) {
+                Some(step) if ta == tb => {
+                    if step > 0 {
+                        out.push((ta, step));
+                    }
+                }
+                _ => return false,
+            }
+        }
+        true
     }
 }
 
@@ -80,16 +137,21 @@ impl DeadlineMonitor {
         self.stats.lock().expect("stats lock").clone_from(stats);
     }
 
-    /// Total detections without cloning the map (detections only ever
-    /// increment, so an unchanged total proves the whole statistics
-    /// unchanged — the macro-stepping engine's allocation-free check).
-    pub fn total(&self) -> u32 {
-        self.stats.lock().expect("stats lock").total()
+    /// Images the statistics without cloning the map (see
+    /// [`TaskMonitorStats::image_into`]).
+    pub fn image_into(&self, image: &mut TaskMonitorImage) {
+        self.stats.lock().expect("stats lock").image_into(image);
     }
 
-    /// Earliest detection without cloning the map.
-    pub fn first_detection(&self) -> Option<(TaskId, Instant)> {
-        self.stats.lock().expect("stats lock").first_detection()
+    /// Applies a closed-form detection advance in every clone of this
+    /// monitor (see [`TaskMonitorStats::apply_advance`]).
+    pub fn apply_advance(&self, advance: &[(TaskId, u32)], k: u64) {
+        if !advance.is_empty() {
+            self.stats
+                .lock()
+                .expect("stats lock")
+                .apply_advance(advance, k);
+        }
     }
 }
 
@@ -132,15 +194,21 @@ impl ExecutionTimeMonitor {
         self.stats.lock().expect("stats lock").clone_from(stats);
     }
 
-    /// Total detections without cloning the map (see
-    /// [`DeadlineMonitor::total`]).
-    pub fn total(&self) -> u32 {
-        self.stats.lock().expect("stats lock").total()
+    /// Images the statistics without cloning the map (see
+    /// [`TaskMonitorStats::image_into`]).
+    pub fn image_into(&self, image: &mut TaskMonitorImage) {
+        self.stats.lock().expect("stats lock").image_into(image);
     }
 
-    /// Earliest detection without cloning the map.
-    pub fn first_detection(&self) -> Option<(TaskId, Instant)> {
-        self.stats.lock().expect("stats lock").first_detection()
+    /// Applies a closed-form detection advance in every clone of this
+    /// monitor (see [`TaskMonitorStats::apply_advance`]).
+    pub fn apply_advance(&self, advance: &[(TaskId, u32)], k: u64) {
+        if !advance.is_empty() {
+            self.stats
+                .lock()
+                .expect("stats lock")
+                .apply_advance(advance, k);
+        }
     }
 }
 

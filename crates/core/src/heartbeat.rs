@@ -14,7 +14,9 @@ use crate::report::{DetectedFault, FaultKind, RunnableCounters};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_rte::runnable::RunnableId;
 use easis_sim::cpu::CostMeter;
-use easis_sim::snap::{next_snapshot_id, RestoreStats};
+use easis_sim::snap::{
+    apply_counter_advance, derive_counter_advance, next_snapshot_id, RestoreStats,
+};
 use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -87,19 +89,29 @@ pub struct HeartbeatSnapshot {
 }
 
 impl HeartbeatSnapshot {
-    /// Content equality, ignoring lineage bookkeeping (stamps, epoch, id).
-    /// Used by the macro-stepping engine: a quiescent hyperperiod leaves
-    /// every heartbeat column exactly where it started.
-    pub fn content_eq(&self, other: &HeartbeatSnapshot) -> bool {
-        self.index == other.index
-            && self.hypotheses == other.hypotheses
-            && self.ac == other.ac
-            && self.arc == other.arc
-            && self.cca == other.cca
-            && self.ccar == other.ccar
-            && self.active == other.active
-            && self.aliveness_errors == other.aliveness_errors
-            && self.arrival_rate_errors == other.arrival_rate_errors
+    /// Derives the per-hyperperiod advance of the error counters between
+    /// two images one hyperperiod apart, ignoring lineage bookkeeping
+    /// (stamps, epoch, id). Every other column — the window counters, the
+    /// activation statuses, the hypotheses — must be exactly equal: a
+    /// steady state brings them back to the same phase. The aliveness and
+    /// arrival-rate error counters may advance, per slot by a fixed
+    /// amount under a persistent fault; they feed no later decision of
+    /// the unit, so the closed form just adds the advance.
+    pub fn derive_error_advance(
+        a: &HeartbeatSnapshot,
+        b: &HeartbeatSnapshot,
+        aliveness: &mut Vec<(u32, u32)>,
+        arrival_rate: &mut Vec<(u32, u32)>,
+    ) -> bool {
+        a.index == b.index
+            && a.hypotheses == b.hypotheses
+            && a.ac == b.ac
+            && a.arc == b.arc
+            && a.cca == b.cca
+            && a.ccar == b.ccar
+            && a.active == b.active
+            && derive_counter_advance(&a.aliveness_errors, &b.aliveness_errors, aliveness)
+            && derive_counter_advance(&a.arrival_rate_errors, &b.arrival_rate_errors, arrival_rate)
     }
 }
 
@@ -346,6 +358,25 @@ impl HeartbeatMonitor {
     /// Monitored runnables, in ascending id order.
     pub fn monitored(&self) -> impl Iterator<Item = RunnableId> + '_ {
         self.index.iter().map(RunnableId)
+    }
+
+    /// Applies `k` hyperperiods of a certified error-counter advance (see
+    /// [`HeartbeatSnapshot::derive_error_advance`]) and stamps the moved
+    /// columns dirty for the delta-restore protocol.
+    pub fn apply_error_advance(
+        &mut self,
+        aliveness: &[(u32, u32)],
+        arrival_rate: &[(u32, u32)],
+        k: u64,
+    ) {
+        if !aliveness.is_empty() {
+            apply_counter_advance(&mut self.aliveness_errors, aliveness, k);
+            self.stamps[COL_ALIVE_ERR] = self.epoch;
+        }
+        if !arrival_rate.is_empty() {
+            apply_counter_advance(&mut self.arrival_rate_errors, arrival_rate, k);
+            self.stamps[COL_RATE_ERR] = self.epoch;
+        }
     }
 
     /// Captures the monitor into `snap`, retaining the snapshot's existing

@@ -339,6 +339,12 @@ impl ProgramFlowChecker {
         self.last_slot = IdIndex::NO_SLOT;
     }
 
+    /// Adds `n` violations in closed form (a certified hyperperiod
+    /// advance, see [`PfcSnapshot::derive_advance`]).
+    pub fn advance_errors(&mut self, n: u64) {
+        self.errors_detected += n;
+    }
+
     /// Cumulative violations detected.
     pub fn errors_detected(&self) -> u64 {
         self.errors_detected
@@ -384,13 +390,27 @@ impl ProgramFlowChecker {
 /// Plain-data image of a [`ProgramFlowChecker`]'s mutable state (position,
 /// error count, pending buffer). The flow table itself is construction-time
 /// configuration and lives outside the snapshot. `PartialEq` compares the
-/// full mutable state — the macro-stepping engine requires it unchanged
-/// across a quiescent hyperperiod.
+/// full mutable state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PfcSnapshot {
     last_slot: u32,
     errors_detected: u64,
     pending: Vec<crate::report::DetectedFault>,
+}
+
+impl PfcSnapshot {
+    /// The per-hyperperiod advance of the violation count between two
+    /// images one hyperperiod apart, or `None` when anything else moved:
+    /// the sequence position and the pending buffer must be back where
+    /// they were. A persistently skipped runnable violates the table the
+    /// same number of times every hyperperiod, and the count feeds no
+    /// later verdict.
+    pub fn derive_advance(a: &PfcSnapshot, b: &PfcSnapshot) -> Option<u64> {
+        if a.last_slot != b.last_slot || a.pending != b.pending {
+            return None;
+        }
+        b.errors_detected.checked_sub(a.errors_detected)
+    }
 }
 
 impl Default for PfcSnapshot {

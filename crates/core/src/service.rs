@@ -22,13 +22,15 @@ use crate::config::WatchdogConfig;
 use crate::heartbeat::{HeartbeatMonitor, HeartbeatSnapshot};
 use crate::pfc::{FlowVerdict, PfcSnapshot, ProgramFlowChecker, LOOKUP_COST_CYCLES};
 use crate::report::{DetectedFault, FaultKind, HealthState, RunnableCounters, StateChange};
-use crate::tsi::{TaskStateIndication, TsiSnapshot};
+use crate::tsi::{TaskStateIndication, TsiSnapshot, VectorStep};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_osek::task::TaskId;
 use easis_rte::mapping::ApplicationId;
 use easis_rte::runnable::{HeartbeatSink, RunnableId};
 use easis_sim::cpu::{CostMeter, CpuModel};
-use easis_sim::snap::{next_snapshot_id, RestoreStats};
+use easis_sim::snap::{
+    apply_counter_advance, derive_counter_advance, next_snapshot_id, RestoreStats,
+};
 use easis_sim::time::Instant;
 use std::sync::Arc;
 
@@ -561,16 +563,46 @@ impl SoftwareWatchdog {
         snap.id = 0;
     }
 
-    /// Applies a certified per-hyperperiod delta `k` times in closed form.
-    /// Only the accumulator header moves (cost meter, cycle counter, last
-    /// heartbeat stamp) — everything else was proven content-equal across
-    /// the hyperperiod by [`WatchdogSnapshot::derive_cycle_delta`]. All
-    /// three fields live in the always-copied region of
-    /// [`SoftwareWatchdog::restore_from`], so no dirty stamps are needed.
+    /// Applies a certified per-hyperperiod delta `k` times in closed form:
+    /// the accumulator header (cost meter, cycle counter, last heartbeat
+    /// stamp) moves, the error counters of a persistent fault — heartbeat
+    /// errors, PFC violations, TSI counts — advance, and undrained outbox
+    /// entries shift in time. Everything else was proven content-equal
+    /// across the hyperperiod by [`WatchdogSnapshot::derive_cycle_delta`].
+    /// Every region that moves is stamped dirty for the delta-restore
+    /// protocol; the header lives in the always-copied region of
+    /// [`SoftwareWatchdog::restore_from`].
     pub fn apply_cycle_delta(&mut self, delta: &WatchdogCycleDelta, k: u64) {
         self.costs.accumulate(&delta.d_costs, k);
         self.cycles_run += delta.d_cycles * k;
         self.last_heartbeat_now += delta.d_last_heartbeat * k;
+        self.heartbeat_unit
+            .apply_error_advance(&delta.d_aliveness, &delta.d_arrival_rate, k);
+        for &(scope, step) in &delta.d_pfc {
+            self.pfc_units[scope as usize].advance_errors(step * k);
+            self.pfc_stamps[scope as usize] = self.epoch;
+        }
+        if !delta.d_pfc_errors.is_empty() {
+            apply_counter_advance(&mut self.pfc_errors, &delta.d_pfc_errors, k);
+            self.pfc_errors_stamp = self.epoch;
+        }
+        if !delta.d_tsi.is_empty() {
+            self.tsi_unit.apply_vector_advance(&delta.d_tsi, k);
+            self.tsi_stamp = self.epoch;
+        }
+        if !delta.outbox_shift.is_zero() && !self.outbox.is_empty() {
+            for fault in &mut self.outbox {
+                fault.at += delta.outbox_shift * k;
+            }
+            self.outbox_stamp = self.epoch;
+        }
+    }
+
+    /// How many hyperperiods `delta` can be applied before a TSI count
+    /// reaches the error threshold of a task that is not faulty yet (see
+    /// [`TaskStateIndication::hyperperiods_below_threshold`]).
+    pub fn hyperperiods_below_threshold(&self, delta: &WatchdogCycleDelta) -> u64 {
+        self.tsi_unit.hyperperiods_below_threshold(&delta.d_tsi)
     }
 
     /// Restores runtime state captured by [`SoftwareWatchdog::snapshot`];
@@ -661,29 +693,50 @@ pub struct WatchdogSnapshot {
     id: u64,
 }
 
-/// The closed-form per-hyperperiod advance of a quiescent watchdog: the
-/// cost meter, cycle counter and last-heartbeat stamp move; every monitor
-/// counter, verdict and outbox was proven to return to its starting value.
-/// Derived by [`WatchdogSnapshot::derive_cycle_delta`], applied by
-/// [`SoftwareWatchdog::apply_cycle_delta`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// The closed-form per-hyperperiod advance of a steady-state watchdog:
+/// the cost meter, cycle counter and last-heartbeat stamp move; under a
+/// persistent fault the error counters also advance by a fixed amount per
+/// hyperperiod (sparse `(index, step)` lists, empty when nothing moves) and
+/// undrained outbox entries sit one hyperperiod later. Every window
+/// counter, flow position and verdict was proven to return to its
+/// starting value. Derived by [`WatchdogSnapshot::derive_cycle_delta`],
+/// applied by [`SoftwareWatchdog::apply_cycle_delta`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WatchdogCycleDelta {
     d_costs: CostMeter,
     d_cycles: u64,
     /// Shift of `last_heartbeat_now` per hyperperiod: `h` when monitored
     /// runnables are beating, zero when none are (all deactivated).
     d_last_heartbeat: easis_sim::time::Duration,
+    /// Aliveness-error advance per heartbeat slot.
+    d_aliveness: Vec<(u32, u32)>,
+    /// Arrival-rate-error advance per heartbeat slot.
+    d_arrival_rate: Vec<(u32, u32)>,
+    /// Violation-count advance per PFC scope.
+    d_pfc: Vec<(u32, u64)>,
+    /// Attributed PFC-violation advance per runnable slot.
+    d_pfc_errors: Vec<(u32, u32)>,
+    /// TSI error-vector advance.
+    d_tsi: Vec<VectorStep>,
+    /// Time shift of the undrained outbox entries per hyperperiod (`h`,
+    /// or zero when the outbox is empty at the samples).
+    outbox_shift: easis_sim::time::Duration,
 }
 
 impl WatchdogSnapshot {
     /// Derives the per-hyperperiod delta between two images taken exactly
     /// `h` apart, writing it into `out` and returning `true` — or returns
-    /// `false` when the watchdog is not steady over the span: any monitor
-    /// counter, PFC position, TSI verdict or undrained outbox entry that
-    /// differs means detection state is still evolving and the span must
-    /// be simulated event-by-event. The hyperperiod includes every fault-
-    /// hypothesis window span, so steady-state counters land back on the
-    /// same phase and compare equal here.
+    /// `false` when the watchdog is not steady over the span: a window
+    /// counter, PFC position, TSI verdict or error-vector shape that
+    /// differs, a counter that went down, or an outbox that is not the
+    /// same entries one hyperperiod later means detection state is still
+    /// evolving and the span must be simulated event-by-event. The
+    /// hyperperiod includes every fault-hypothesis window span, so
+    /// steady-state window counters land back on the same phase and
+    /// compare equal here; error counters may advance (a persistent
+    /// fault), which the delta records. With `h` zero the derivation is a
+    /// content comparison: it succeeds with the default delta exactly
+    /// when the two images hold the same state.
     pub fn derive_cycle_delta(
         a: &WatchdogSnapshot,
         b: &WatchdogSnapshot,
@@ -697,22 +750,45 @@ impl WatchdogSnapshot {
         } else {
             return false;
         };
-        if !a.heartbeat_unit.content_eq(&b.heartbeat_unit)
-            || a.pfc_units != b.pfc_units
-            || a.tsi_unit != b.tsi_unit
+        if a.pfc_units.len() != b.pfc_units.len()
             || a.task_faulty != b.task_faulty
-            || a.pfc_errors != b.pfc_errors
-            || a.outbox != b.outbox
             || a.state_outbox != b.state_outbox
+            || a.outbox.len() != b.outbox.len()
+            || !a
+                .outbox
+                .iter()
+                .zip(&b.outbox)
+                .all(|(x, y)| y.runnable == x.runnable && y.kind == x.kind && y.at == x.at + h)
             || b.cycles_run < a.cycles_run
             || b.costs.total_cycles() < a.costs.total_cycles()
             || b.costs.operations() < a.costs.operations()
+            || !HeartbeatSnapshot::derive_error_advance(
+                &a.heartbeat_unit,
+                &b.heartbeat_unit,
+                &mut out.d_aliveness,
+                &mut out.d_arrival_rate,
+            )
+            || !derive_counter_advance(&a.pfc_errors, &b.pfc_errors, &mut out.d_pfc_errors)
+            || !TsiSnapshot::derive_vector_advance(&a.tsi_unit, &b.tsi_unit, &mut out.d_tsi)
         {
             return false;
+        }
+        out.d_pfc.clear();
+        for (scope, (pa, pb)) in a.pfc_units.iter().zip(&b.pfc_units).enumerate() {
+            match PfcSnapshot::derive_advance(pa, pb) {
+                None => return false,
+                Some(0) => {}
+                Some(step) => out.d_pfc.push((scope as u32, step)),
+            }
         }
         out.d_costs = b.costs.delta_since(&a.costs);
         out.d_cycles = b.cycles_run - a.cycles_run;
         out.d_last_heartbeat = d_last_heartbeat;
+        out.outbox_shift = if a.outbox.is_empty() {
+            easis_sim::time::Duration::ZERO
+        } else {
+            h
+        };
         true
     }
 }

@@ -286,6 +286,44 @@ impl TaskStateIndication {
         &self.mapping
     }
 
+    /// Applies `k` hyperperiods of a certified error-vector advance (see
+    /// [`TsiSnapshot::derive_vector_advance`]). The caller caps `k` with
+    /// [`TaskStateIndication::hyperperiods_below_threshold`], so no count
+    /// crosses the threshold of a task that is not faulty yet.
+    pub fn apply_vector_advance(&mut self, advance: &[VectorStep], k: u64) {
+        for &(task, key, step) in advance {
+            let count = self
+                .vectors
+                .get_mut(&task)
+                .and_then(|vector| vector.get_mut(&key))
+                .expect("advanced entries exist in the certified vector");
+            *count += u32::try_from(step as u64 * k).expect("error count fits u32");
+        }
+    }
+
+    /// How many hyperperiods `advance` can be applied before a count of a
+    /// task that is not yet faulty reaches the error threshold (`u64::MAX`
+    /// when nothing advances towards it). Reaching it flips the task —
+    /// and possibly its application and the ECU — to faulty, a discrete
+    /// event the closed form does not express, so the macro-stepping
+    /// engine stops short of it and simulates the crossing.
+    pub fn hyperperiods_below_threshold(&self, advance: &[VectorStep]) -> u64 {
+        advance
+            .iter()
+            .filter(|(task, _, _)| !self.task_state(*task).is_faulty())
+            .map(|&(task, key, step)| {
+                let count = self
+                    .vectors
+                    .get(&task)
+                    .and_then(|v| v.get(&key))
+                    .copied()
+                    .unwrap_or(0);
+                u64::from(self.threshold.saturating_sub(1).saturating_sub(count) / step)
+            })
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// Captures the error vectors and verdicts into `snap`, retaining its
     /// buffer capacity. The mapping and thresholds are construction-time
     /// configuration and are not captured; the owning service's stamp
@@ -348,21 +386,64 @@ impl TaskStateIndication {
     }
 }
 
-/// One captured per-task error vector: the task id plus its non-zero
+/// One captured per-task error vector: the task id plus its
 /// `((runnable, fault kind), count)` entries.
 type TaskErrorVector = (TaskId, Vec<((RunnableId, FaultKind), u32)>);
+
+/// One element of an error-vector advance: the task, the element key and
+/// the count it gains per hyperperiod.
+pub type VectorStep = (TaskId, (RunnableId, FaultKind), u32);
 
 /// Plain-data image of a [`TaskStateIndication`]'s error vectors and
 /// verdicts, flat `Vec`s so node-level snapshots embedding it are cheap to
 /// clone and can be shared across campaign workers. `PartialEq` compares
-/// the full image — a quiescent hyperperiod records no faults, so the
-/// macro-stepping engine requires two samples to compare equal.
+/// the full image.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TsiSnapshot {
     vectors: Vec<TaskErrorVector>,
     task_states: Vec<(TaskId, HealthState)>,
     app_states: Vec<(ApplicationId, HealthState)>,
     ecu_state: HealthState,
+}
+
+impl TsiSnapshot {
+    /// Derives the per-hyperperiod advance of the error vectors between
+    /// two images one hyperperiod apart into `out` (elements that did not
+    /// move are left out). Verdicts and the vectors' shape must be
+    /// identical; counts may only grow. Under a persistent fault a task's
+    /// counts keep climbing every hyperperiod — past the threshold once
+    /// the task is faulty and monitoring continues — while every verdict
+    /// stays put.
+    pub fn derive_vector_advance(
+        a: &TsiSnapshot,
+        b: &TsiSnapshot,
+        out: &mut Vec<VectorStep>,
+    ) -> bool {
+        out.clear();
+        if a.task_states != b.task_states
+            || a.app_states != b.app_states
+            || a.ecu_state != b.ecu_state
+            || a.vectors.len() != b.vectors.len()
+        {
+            return false;
+        }
+        for ((task_a, va), (task_b, vb)) in a.vectors.iter().zip(&b.vectors) {
+            if task_a != task_b || va.len() != vb.len() {
+                return false;
+            }
+            for (&(key_a, count_a), &(key_b, count_b)) in va.iter().zip(vb) {
+                match count_b.checked_sub(count_a) {
+                    Some(step) if key_a == key_b => {
+                        if step > 0 {
+                            out.push((*task_a, key_a, step));
+                        }
+                    }
+                    _ => return false,
+                }
+            }
+        }
+        true
+    }
 }
 
 #[cfg(test)]

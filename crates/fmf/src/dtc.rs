@@ -8,7 +8,7 @@
 //! status-bit spirit (pending → confirmed → aged out).
 
 use easis_rte::runnable::RunnableId;
-use easis_sim::time::Instant;
+use easis_sim::time::{Duration, Instant};
 use easis_watchdog::report::{DetectedFault, FaultKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -310,37 +310,87 @@ impl DtcStore {
         }
     }
 
-    /// Applies `k` certified hyperperiods of DTC aging in closed form:
-    /// every *pending* record's healthy-cycle counter advances by `inc`
-    /// per hyperperiod (the increment [`DtcStoreSnapshot::derive_aging`]
-    /// measured). Callers must cap `k` so no record reaches the aging
-    /// horizon — crossing it removes the record, a discrete event the
-    /// closed form cannot express (see
-    /// [`DtcStore::pending_cycles_to_age_out`]).
-    pub fn apply_aging(&mut self, inc: u32, k: u64) {
-        if inc == 0 || k == 0 {
+    /// Applies `k` certified hyperperiods of DTC-memory motion in closed
+    /// form (see [`DtcStoreSnapshot::derive_cycle_delta`]): every
+    /// recurring code gains its per-hyperperiod occurrences and its
+    /// `last_seen` moves `k` hyperperiods `h` later; every other *pending*
+    /// record ages by `delta.aging` healthy cycles per hyperperiod.
+    /// Callers must cap `k` with [`DtcStore::hyperperiods_before_confirm`]
+    /// and [`DtcStore::hyperperiods_before_age_out`]: a confirmation and an
+    /// age-out removal are discrete events the closed form cannot express.
+    pub fn apply_cycle_delta(&mut self, delta: &DtcCycleDelta, h: Duration, k: u64) {
+        if k == 0 {
             return;
         }
-        let aging = self.aging_cycles;
-        let add: u32 = (inc as u64 * k)
-            .try_into()
+        let aging = u32::try_from(delta.aging as u64 * k)
             .expect("aging advance fits u32 (capped below the horizon)");
         for rec in self.codes.values_mut() {
-            if rec.status == DtcStatus::Confirmed {
-                continue;
+            match delta.recurring_step(rec.code) {
+                Some(step) => {
+                    rec.occurrences +=
+                        u32::try_from(step as u64 * k).expect("occurrences fit u32");
+                    rec.last_seen += h * k;
+                    debug_assert!(
+                        rec.status == DtcStatus::Confirmed
+                            || rec.occurrences < self.confirm_threshold,
+                        "occurrences advanced past the confirmation threshold"
+                    );
+                }
+                None if rec.status == DtcStatus::Pending => {
+                    rec.healthy_cycles += aging;
+                    debug_assert!(
+                        rec.healthy_cycles < self.aging_cycles,
+                        "aging advanced past the age-out horizon"
+                    );
+                }
+                None => {}
             }
-            rec.healthy_cycles += add;
-            debug_assert!(
-                rec.healthy_cycles < aging,
-                "aging advanced past the age-out horizon"
-            );
         }
+    }
+
+    /// How many hyperperiods `delta` can be applied before a recurring
+    /// *pending* code reaches the confirmation threshold (`u64::MAX` when
+    /// no pending code recurs).
+    pub fn hyperperiods_before_confirm(&self, delta: &DtcCycleDelta) -> u64 {
+        delta
+            .recurring
+            .iter()
+            .filter_map(|&(code, step)| {
+                let rec = self.codes.get(&code)?;
+                (rec.status == DtcStatus::Pending).then(|| {
+                    let room = self
+                        .confirm_threshold
+                        .saturating_sub(1)
+                        .saturating_sub(rec.occurrences);
+                    u64::from(room / step)
+                })
+            })
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// How many hyperperiods `delta` can be applied before the earliest
+    /// aging pending record reaches the age-out horizon (`u64::MAX` when
+    /// nothing ages). Recurring codes reset their aging counter every
+    /// hyperperiod and never age out under the delta.
+    pub fn hyperperiods_before_age_out(&self, delta: &DtcCycleDelta) -> u64 {
+        if delta.aging == 0 {
+            return u64::MAX;
+        }
+        self.codes
+            .values()
+            .filter(|r| r.status == DtcStatus::Pending && delta.recurring_step(r.code).is_none())
+            .map(|r| {
+                let remaining = self.aging_cycles.saturating_sub(r.healthy_cycles);
+                u64::from(remaining.saturating_sub(1) / delta.aging)
+            })
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Healthy cycles until the *earliest* pending record ages out, or
     /// `None` when nothing is aging (empty memory or all codes
-    /// confirmed). The macro-stepping engine caps its jump just short of
-    /// this and simulates the age-out event itself.
+    /// confirmed).
     pub fn pending_cycles_to_age_out(&self) -> Option<u32> {
         self.codes
             .values()
@@ -372,24 +422,58 @@ impl DtcStore {
 /// Plain-data image of a [`DtcStore`]'s records (sorted by code). The
 /// thresholds are construction-time configuration and live outside it.
 /// `PartialEq` compares the records including their aging counters;
-/// [`DtcStoreSnapshot::derive_aging`] relaxes exactly one axis — a
-/// uniform healthy-cycle advance on pending codes — so the macro-stepping
-/// engine can fast-forward through a draining fault memory.
+/// [`DtcStoreSnapshot::derive_cycle_delta`] relaxes exactly the axes a
+/// steady state moves, so the macro-stepping engine can fast-forward
+/// through a draining or a persistently re-recorded fault memory.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DtcStoreSnapshot {
     records: Vec<DtcRecord>,
 }
 
+/// The closed-form per-hyperperiod motion of a DTC memory: the uniform
+/// aging of the pending records that saw no occurrence, and the
+/// occurrences of every recurring code. Derived by
+/// [`DtcStoreSnapshot::derive_cycle_delta`], applied by
+/// [`DtcStore::apply_cycle_delta`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DtcCycleDelta {
+    /// Healthy cycles per hyperperiod added to each pending record that
+    /// did not recur.
+    pub aging: u32,
+    /// Occurrences per hyperperiod of every recurring code, ascending by
+    /// code.
+    pub recurring: Vec<(DtcCode, u32)>,
+}
+
+impl DtcCycleDelta {
+    fn recurring_step(&self, code: DtcCode) -> Option<u32> {
+        self.recurring
+            .binary_search_by_key(&code, |&(c, _)| c)
+            .ok()
+            .map(|i| self.recurring[i].1)
+    }
+}
+
 impl DtcStoreSnapshot {
-    /// Derives the uniform per-hyperperiod aging increment between two
-    /// images one hyperperiod apart. Succeeds (writing the increment,
-    /// possibly 0) only when the images hold the *same* records — codes,
-    /// occurrence counters, timestamps, status, freeze frames all equal —
-    /// and every pending record's healthy-cycle counter advanced by the
-    /// same amount. Anything else (a new occurrence, a confirmation, an
-    /// age-out removal) is a discrete event the closed form cannot
-    /// express, and the derivation rejects.
-    pub fn derive_aging(a: &Self, b: &Self, out: &mut u32) -> bool {
+    /// Derives the per-hyperperiod motion between two images `h` apart.
+    /// Succeeds only when the images hold the *same* codes with the same
+    /// first occurrence, status and freeze frame, and every record moved
+    /// in one of two closed-form ways:
+    ///
+    /// * it **recurred**: its occurrence counter grew, its `last_seen` is
+    ///   exactly `h` later and its aging counter is back where it was (a
+    ///   persistent fault re-records the code at the same phase of every
+    ///   hyperperiod);
+    /// * it did not: `last_seen` and occurrences sit still, and — when
+    ///   pending — its healthy-cycle counter advanced by the same amount
+    ///   as every other non-recurring pending record (confirmed codes do
+    ///   not age).
+    ///
+    /// Anything else (a new code, a confirmation, an age-out removal, an
+    /// occurrence at a different phase) is a discrete event the closed
+    /// form cannot express, and the derivation rejects.
+    pub fn derive_cycle_delta(a: &Self, b: &Self, h: Duration, out: &mut DtcCycleDelta) -> bool {
+        out.recurring.clear();
         if a.records.len() != b.records.len() {
             return false;
         }
@@ -397,11 +481,22 @@ impl DtcStoreSnapshot {
         for (ra, rb) in a.records.iter().zip(&b.records) {
             if ra.code != rb.code
                 || ra.first_seen != rb.first_seen
-                || ra.last_seen != rb.last_seen
-                || ra.occurrences != rb.occurrences
                 || ra.status != rb.status
                 || ra.freeze_frame != rb.freeze_frame
             {
+                return false;
+            }
+            let Some(occurred) = rb.occurrences.checked_sub(ra.occurrences) else {
+                return false;
+            };
+            if occurred > 0 {
+                if rb.last_seen != ra.last_seen + h || rb.healthy_cycles != ra.healthy_cycles {
+                    return false;
+                }
+                out.recurring.push((ra.code, occurred));
+                continue;
+            }
+            if ra.last_seen != rb.last_seen {
                 return false;
             }
             if ra.status == DtcStatus::Confirmed {
@@ -418,7 +513,7 @@ impl DtcStoreSnapshot {
                 return false;
             }
         }
-        *out = inc.unwrap_or(0);
+        out.aging = inc.unwrap_or(0);
         true
     }
 }
@@ -538,6 +633,15 @@ mod tests {
         let _ = DtcStore::new(0, 1);
     }
 
+    const H: Duration = Duration::from_millis(20);
+
+    fn aging(inc: u32) -> DtcCycleDelta {
+        DtcCycleDelta {
+            aging: inc,
+            recurring: Vec::new(),
+        }
+    }
+
     #[test]
     fn closed_form_aging_matches_event_level_healthy_cycles() {
         let build = || {
@@ -556,16 +660,19 @@ mod tests {
         for _ in 0..12 {
             stepped.healthy_cycle();
         }
-        jumped.apply_aging(2, 6);
+        jumped.apply_cycle_delta(&aging(2), H, 6);
         let (mut a, mut b) = (DtcStoreSnapshot::default(), DtcStoreSnapshot::default());
         stepped.snapshot_into(&mut a);
         jumped.snapshot_into(&mut b);
         assert_eq!(a, b);
         assert_eq!(stepped.pending_cycles_to_age_out(), Some(28));
+        // 28 cycles left at 2 per hyperperiod: 13 jumps stay below it.
+        assert_eq!(stepped.hyperperiods_before_age_out(&aging(2)), 13);
+        assert_eq!(stepped.hyperperiods_before_age_out(&aging(0)), u64::MAX);
     }
 
     #[test]
-    fn derive_aging_measures_pending_advance_only() {
+    fn derive_measures_pending_aging_only() {
         let mut store = DtcStore::new(3, 40);
         store.record(fault(1, FaultKind::Aliveness, 10), FreezeFrame::default());
         for ms in [20, 30, 40] {
@@ -577,23 +684,67 @@ mod tests {
         store.healthy_cycle();
         store.healthy_cycle();
         store.snapshot_into(&mut b);
-        let mut inc = 99;
-        assert!(DtcStoreSnapshot::derive_aging(&a, &b, &mut inc));
-        assert_eq!(inc, 2);
-        // At rest the increment is zero…
-        assert!(DtcStoreSnapshot::derive_aging(&a, &a, &mut inc));
-        assert_eq!(inc, 0);
-        // …a new occurrence is a discrete event and rejects…
+        let mut delta = DtcCycleDelta::default();
+        assert!(DtcStoreSnapshot::derive_cycle_delta(&a, &b, H, &mut delta));
+        assert_eq!(delta, aging(2));
+        // At rest the delta is zero…
+        assert!(DtcStoreSnapshot::derive_cycle_delta(&a, &a, H, &mut delta));
+        assert_eq!(delta, DtcCycleDelta::default());
+        // …an occurrence off the hyperperiod phase rejects…
         store.record(fault(1, FaultKind::Aliveness, 90), FreezeFrame::default());
         store.snapshot_into(&mut b);
-        assert!(!DtcStoreSnapshot::derive_aging(&a, &b, &mut inc));
+        assert!(!DtcStoreSnapshot::derive_cycle_delta(&a, &b, H, &mut delta));
         // …and so does an age-out removal.
         let mut c = DtcStoreSnapshot::default();
         for _ in 0..40 {
             store.healthy_cycle();
         }
         store.snapshot_into(&mut c);
-        assert!(!DtcStoreSnapshot::derive_aging(&b, &c, &mut inc));
+        assert!(!DtcStoreSnapshot::derive_cycle_delta(&b, &c, H, &mut delta));
+    }
+
+    #[test]
+    fn recurring_codes_advance_in_closed_form_up_to_confirmation() {
+        // Code 1 recurs once per 20 ms hyperperiod (one faulty and one
+        // healthy cycle each); code 2 was seen once and drains.
+        let cycle = |store: &mut DtcStore, ms: u64| {
+            store.record(fault(1, FaultKind::Aliveness, ms), FreezeFrame::default());
+            store.healthy_cycle();
+        };
+        let mut store = DtcStore::new(9, 40);
+        store.record(fault(2, FaultKind::ProgramFlow, 5), FreezeFrame::default());
+        cycle(&mut store, 10);
+        let (mut a, mut b, mut c) = Default::default();
+        store.snapshot_into(&mut a);
+        cycle(&mut store, 30);
+        store.snapshot_into(&mut b);
+        cycle(&mut store, 50);
+        store.snapshot_into(&mut c);
+        let mut delta = DtcCycleDelta::default();
+        assert!(DtcStoreSnapshot::derive_cycle_delta(&a, &b, H, &mut delta));
+        let code = DtcCode::of(RunnableId(1), FaultKind::Aliveness);
+        assert_eq!(delta.recurring, vec![(code, 1)]);
+        assert_eq!(delta.aging, 1);
+        let mut guard = DtcCycleDelta::default();
+        assert!(DtcStoreSnapshot::derive_cycle_delta(&b, &c, H, &mut guard));
+        assert_eq!(delta, guard);
+        // Three occurrences so far, confirmation at nine: five more
+        // hyperperiods stay pending.
+        assert_eq!(store.hyperperiods_before_confirm(&delta), 5);
+        let mut jumped = store.clone();
+        jumped.apply_cycle_delta(&delta, H, 5);
+        for j in 0..5 {
+            cycle(&mut store, 70 + 20 * j);
+        }
+        let (mut x, mut y) = (DtcStoreSnapshot::default(), DtcStoreSnapshot::default());
+        store.snapshot_into(&mut x);
+        jumped.snapshot_into(&mut y);
+        assert_eq!(x, y);
+        assert_eq!(store.hyperperiods_before_confirm(&delta), 0);
+        // A confirmed recurring code advances without a cap.
+        cycle(&mut store, 170);
+        assert_eq!(store.get(code).unwrap().status, DtcStatus::Confirmed);
+        assert_eq!(store.hyperperiods_before_confirm(&delta), u64::MAX);
     }
 
     #[test]
@@ -603,12 +754,13 @@ mod tests {
         store.record(fault(1, FaultKind::Aliveness, 5), FreezeFrame::default());
         // confirm_threshold 1: immediately confirmed, never ages.
         assert_eq!(store.pending_cycles_to_age_out(), None);
-        store.apply_aging(2, 5); // no-op on confirmed codes
+        assert_eq!(store.hyperperiods_before_age_out(&aging(2)), u64::MAX);
+        store.apply_cycle_delta(&aging(2), H, 5); // no-op on confirmed codes
         let mut snap = DtcStoreSnapshot::default();
         store.snapshot_into(&mut snap);
-        let mut inc = 7;
-        assert!(DtcStoreSnapshot::derive_aging(&snap, &snap, &mut inc));
-        assert_eq!(inc, 0);
+        let mut delta = aging(7);
+        assert!(DtcStoreSnapshot::derive_cycle_delta(&snap, &snap, H, &mut delta));
+        assert_eq!(delta, DtcCycleDelta::default());
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! log, applies the [`TreatmentPolicy`] and queues [`TreatmentAction`]s
 //! for the platform integration to execute.
 
-use crate::dtc::{DtcStore, DtcStoreSnapshot, FreezeFrame};
+use crate::dtc::{DtcCycleDelta, DtcStore, DtcStoreSnapshot, FreezeFrame};
 use crate::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use crate::record::{FaultRecord, Severity, SeverityMap};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_rte::mapping::ApplicationId;
-use easis_sim::snap::{next_snapshot_id, RestoreStats};
-use easis_sim::time::Instant;
+use easis_sim::snap::{next_snapshot_id, replay_tail, tail_repeats, RestoreStats};
+use easis_sim::time::{Duration, Instant};
 use easis_watchdog::report::{DetectedFault, FaultKind, StateChange};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -117,19 +117,52 @@ impl FaultManagementFramework {
     }
 
     /// Applies `k` certified hyperperiods of framework evolution in
-    /// closed form. The only state a quiescent hyperperiod moves is DTC
-    /// aging ([`FmfSnapshot::derive_cycle_delta`] rejects anything else),
-    /// so this advances the pending records' healthy-cycle counters and
-    /// stamps the DTC region dirty for the delta-restore protocol.
-    pub fn apply_cycle_delta(&mut self, delta: &FmfCycleDelta, k: u64) {
-        if delta.dtc_aging > 0 && k > 0 {
-            self.dtc.apply_aging(delta.dtc_aging, k);
+    /// closed form (see [`FmfSnapshot::derive_cycle_delta`]): the DTC
+    /// memory moves by its [`DtcCycleDelta`] and the fault log replays its
+    /// last hyperperiod's records `k` times, each copy one hyperperiod
+    /// `h` later. Moved regions are stamped dirty for the delta-restore
+    /// protocol.
+    pub fn apply_cycle_delta(&mut self, delta: &FmfCycleDelta, h: Duration, k: u64) {
+        if k == 0 {
+            return;
+        }
+        if delta.dtc != DtcCycleDelta::default() {
+            self.dtc.apply_cycle_delta(&delta.dtc, h, k);
             self.dtc_stamp = self.epoch;
+        }
+        if delta.log_records > 0 {
+            replay_tail(&mut self.log, delta.log_records, k, |mut record, j| {
+                record.fault.at += h * j;
+                record
+            });
+            self.log_stamp = self.epoch;
         }
     }
 
+    /// Whether the fault log's last two blocks of `records` entries are
+    /// the same records one hyperperiod `h` apart — the guard check that
+    /// lets [`FaultManagementFramework::apply_cycle_delta`] replay them.
+    pub fn log_tail_repeats(&self, records: usize, h: Duration) -> bool {
+        tail_repeats(&self.log, records, |mut record| {
+            record.fault.at += h;
+            record
+        })
+    }
+
+    /// How many hyperperiods `delta` can be applied before a recurring
+    /// pending DTC confirms (see [`DtcStore::hyperperiods_before_confirm`]).
+    pub fn hyperperiods_before_confirm(&self, delta: &FmfCycleDelta) -> u64 {
+        self.dtc.hyperperiods_before_confirm(&delta.dtc)
+    }
+
+    /// How many hyperperiods `delta` can be applied before an aging
+    /// pending DTC ages out (see [`DtcStore::hyperperiods_before_age_out`]).
+    pub fn hyperperiods_before_age_out(&self, delta: &FmfCycleDelta) -> u64 {
+        self.dtc.hyperperiods_before_age_out(&delta.dtc)
+    }
+
     /// Healthy cycles until the earliest pending DTC ages out (`None`
-    /// when nothing is aging) — the macro-stepping engine's jump cap, see
+    /// when nothing is aging), see
     /// [`crate::dtc::DtcStore::pending_cycles_to_age_out`].
     pub fn pending_cycles_to_age_out(&self) -> Option<u32> {
         self.dtc.pending_cycles_to_age_out()
@@ -330,6 +363,7 @@ impl FaultManagementFramework {
     pub fn snapshot_into(&mut self, snap: &mut FmfSnapshot) {
         snap.log.clear();
         snap.log.extend_from_slice(&self.log);
+        snap.log_len = self.log.len();
         snap.log_stamp = self.log_stamp;
         self.dtc.snapshot_into(&mut snap.dtc);
         snap.dtc_stamp = self.dtc_stamp;
@@ -353,10 +387,13 @@ impl FaultManagementFramework {
     /// untouched and the image carries `id == 0`, so a capture interleaved
     /// between a campaign checkpoint and its restore (the macro-stepping
     /// engine samples mid-span) cannot degrade the restore to the
-    /// full-copy path.
+    /// full-copy path. The append-only fault log is imaged as its length
+    /// only — the engine reads appended records from the live log tail
+    /// ([`FaultManagementFramework::log_tail_repeats`]) — so an image is
+    /// for [`FmfSnapshot::derive_cycle_delta`], not for restoring.
     pub fn image_into(&self, snap: &mut FmfSnapshot) {
         snap.log.clear();
-        snap.log.extend_from_slice(&self.log);
+        snap.log_len = self.log.len();
         snap.log_stamp = self.log_stamp;
         self.dtc.snapshot_into(&mut snap.dtc);
         snap.dtc_stamp = self.dtc_stamp;
@@ -425,6 +462,8 @@ impl FaultManagementFramework {
 #[derive(Debug, Clone, Default)]
 pub struct FmfSnapshot {
     log: Vec<FaultRecord>,
+    /// Fault-log length at capture (images carry no records).
+    log_len: usize,
     log_stamp: u64,
     dtc: DtcStoreSnapshot,
     dtc_stamp: u64,
@@ -450,31 +489,37 @@ impl FmfSnapshot {
     }
 
     /// Derives the closed-form per-hyperperiod framework delta between
-    /// two images one hyperperiod apart. The log, action queue, restart
+    /// two images one hyperperiod `h` apart. The action queue, restart
     /// budgets and reset counter must sit perfectly still — any new
-    /// record is a discrete event — but the DTC memory may *drain*: a
-    /// pending code aging toward removal advances its healthy-cycle
-    /// counter every healthy cycle, and that uniform advance is the one
-    /// motion the delta expresses (see
-    /// [`crate::dtc::DtcStoreSnapshot::derive_aging`]).
-    pub fn derive_cycle_delta(a: &Self, b: &Self, out: &mut FmfCycleDelta) -> bool {
-        a.log == b.log
-            && a.actions == b.actions
+    /// treatment is a discrete event. The fault log may grow (its
+    /// appended records are checked against the live log by
+    /// [`FaultManagementFramework::log_tail_repeats`]) and the DTC memory
+    /// may drain or keep re-recording a persistent fault (see
+    /// [`crate::dtc::DtcStoreSnapshot::derive_cycle_delta`]).
+    pub fn derive_cycle_delta(a: &Self, b: &Self, h: Duration, out: &mut FmfCycleDelta) -> bool {
+        if b.log_len < a.log_len {
+            return false;
+        }
+        out.log_records = b.log_len - a.log_len;
+        a.actions == b.actions
             && a.app_restarts == b.app_restarts
             && a.terminated_apps == b.terminated_apps
             && a.ecu_resets == b.ecu_resets
-            && DtcStoreSnapshot::derive_aging(&a.dtc, &b.dtc, &mut out.dtc_aging)
+            && DtcStoreSnapshot::derive_cycle_delta(&a.dtc, &b.dtc, h, &mut out.dtc)
     }
 }
 
-/// The closed-form per-hyperperiod evolution of a quiescent
-/// [`FaultManagementFramework`]: the healthy-cycle advance of every
-/// pending DTC record. Everything else the framework owns must be at rest
-/// for [`FmfSnapshot::derive_cycle_delta`] to certify.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// The closed-form per-hyperperiod evolution of a steady-state
+/// [`FaultManagementFramework`]: the DTC memory's motion and the number
+/// of fault-log records every hyperperiod appends. Everything else the
+/// framework owns must be at rest for [`FmfSnapshot::derive_cycle_delta`]
+/// to certify.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FmfCycleDelta {
-    /// Healthy cycles per hyperperiod added to each pending DTC record.
-    pub dtc_aging: u32,
+    /// DTC aging and recurring occurrences per hyperperiod.
+    pub dtc: DtcCycleDelta,
+    /// Fault-log records appended per hyperperiod.
+    pub log_records: usize,
 }
 
 impl Default for FaultManagementFramework {

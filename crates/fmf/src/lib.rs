@@ -33,7 +33,9 @@ pub mod framework;
 pub mod policy;
 pub mod record;
 
-pub use dtc::{DtcCode, DtcRecord, DtcStatus, DtcStore, DtcStoreSnapshot, FreezeFrame};
+pub use dtc::{
+    DtcCode, DtcCycleDelta, DtcRecord, DtcStatus, DtcStore, DtcStoreSnapshot, FreezeFrame,
+};
 pub use framework::{FaultManagementFramework, FmfCycleDelta, FmfSnapshot};
 pub use policy::{Treatment, TreatmentAction, TreatmentPolicy};
 pub use record::{FaultRecord, Severity, SeverityMap};

@@ -1584,6 +1584,14 @@ impl OsSnapshot {
         self.now
     }
 
+    /// Whether the kernel was idle between dispatches at the capture: no
+    /// ready bits set, every ready band empty. The macro-stepping engine
+    /// only certifies from such instants; a sample taken while a task
+    /// waits to be dispatched is rejected as not quiescent.
+    pub fn is_quiescent(&self) -> bool {
+        self.ready_bits == [0; 4] && self.ready_bands.iter().all(VecDeque::is_empty)
+    }
+
     /// Appends a canonical, lineage-free rendering of the captured kernel
     /// state to `out`. Timer entries are listed in logical `(time, seq)`
     /// pop order rather than physical wheel layout — a hyperperiod
@@ -1662,10 +1670,8 @@ impl OsSnapshot {
             || !b.started
             || a.running != b.running
             || b.now != a.now + h
-            || a.ready_bits != [0; 4]
-            || b.ready_bits != [0; 4]
-            || !a.ready_bands.iter().all(VecDeque::is_empty)
-            || !b.ready_bands.iter().all(VecDeque::is_empty)
+            || !a.is_quiescent()
+            || !b.is_quiescent()
             || a.trace.len() != b.trace.len()
             || a.tasks.len() != b.tasks.len()
             || a.alarms != b.alarms

@@ -10,11 +10,10 @@
 //! * the aggregate metrics the campaign bench reads. Campaign workers are
 //!   short-lived threads with thread-local node pools, so per-node
 //!   counters die with their worker — every `run_span` folds its counters
-//!   into these relaxed atomics instead, and the bench brackets a
-//!   measured run with [`reset_metrics`]/[`metrics`].
+//!   into one process-wide [`FfwdMetrics`] instead, and the bench brackets
+//!   a measured run with [`reset_metrics`]/[`metrics`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 static ENV_DEFAULT: OnceLock<bool> = OnceLock::new();
 
@@ -27,10 +26,12 @@ pub fn env_default() -> bool {
         .get_or_init(|| std::env::var("EASIS_FASTFORWARD").map_or(true, |value| value != "0"))
 }
 
-static FFWD_US: AtomicU64 = AtomicU64::new(0);
-static SPAN_US: AtomicU64 = AtomicU64::new(0);
-static FALLBACKS: AtomicU64 = AtomicU64::new(0);
-static CERTIFICATIONS: AtomicU64 = AtomicU64::new(0);
+static METRICS: Mutex<FfwdMetrics> = Mutex::new(FfwdMetrics {
+    fastforwarded_us: 0,
+    span_us: 0,
+    fallbacks: 0,
+    certifications: 0,
+});
 
 /// Aggregate macro-stepping counters since the last [`reset_metrics`],
 /// summed over every node and worker thread of the process.
@@ -41,8 +42,8 @@ pub struct FfwdMetrics {
     /// Simulated microseconds `run_span` was asked to cover in total
     /// (fast-forwarded or not — the fraction's denominator).
     pub span_us: u64,
-    /// Certification attempts rejected plus rotation-boundary crossings
-    /// simulated event-by-event.
+    /// Certification attempts rejected plus jump caps simulated
+    /// event-by-event.
     pub fallbacks: u64,
     /// Successful certifications (the guard hyperperiod reproduced the
     /// derived delta exactly).
@@ -59,51 +60,63 @@ impl FfwdMetrics {
             self.fastforwarded_us as f64 / self.span_us as f64
         }
     }
+
+    /// Accumulates another set of counters into this one.
+    pub fn add(&mut self, other: &FfwdMetrics) {
+        self.fastforwarded_us += other.fastforwarded_us;
+        self.span_us += other.span_us;
+        self.fallbacks += other.fallbacks;
+        self.certifications += other.certifications;
+    }
+}
+
+fn global() -> MutexGuard<'static, FfwdMetrics> {
+    // The counters stay consistent even if a holder panicked: every
+    // update is a plain field-wise add.
+    METRICS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Reads the aggregate counters.
 pub fn metrics() -> FfwdMetrics {
-    FfwdMetrics {
-        fastforwarded_us: FFWD_US.load(Ordering::Relaxed),
-        span_us: SPAN_US.load(Ordering::Relaxed),
-        fallbacks: FALLBACKS.load(Ordering::Relaxed),
-        certifications: CERTIFICATIONS.load(Ordering::Relaxed),
-    }
+    *global()
 }
 
 /// Zeroes the aggregate counters (bench bracketing).
 pub fn reset_metrics() {
-    FFWD_US.store(0, Ordering::Relaxed);
-    SPAN_US.store(0, Ordering::Relaxed);
-    FALLBACKS.store(0, Ordering::Relaxed);
-    CERTIFICATIONS.store(0, Ordering::Relaxed);
+    *global() = FfwdMetrics::default();
 }
 
 /// Folds one `run_span`'s counters into the process aggregate.
-pub(crate) fn record(fastforwarded_us: u64, span_us: u64, fallbacks: u64, certifications: u64) {
-    FFWD_US.fetch_add(fastforwarded_us, Ordering::Relaxed);
-    SPAN_US.fetch_add(span_us, Ordering::Relaxed);
-    FALLBACKS.fetch_add(fallbacks, Ordering::Relaxed);
-    CERTIFICATIONS.fetch_add(certifications, Ordering::Relaxed);
+pub(crate) fn record(span: &FfwdMetrics) {
+    global().add(span);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Accumulation is tested on a local value: the process aggregate is
+    /// shared with every other test of this crate that calls `run_span`.
     #[test]
-    fn metrics_accumulate_and_reset() {
-        reset_metrics();
-        record(10, 40, 1, 2);
-        record(30, 60, 0, 1);
-        let m = metrics();
+    fn metrics_accumulate() {
+        let mut m = FfwdMetrics::default();
+        m.add(&FfwdMetrics {
+            fastforwarded_us: 10,
+            span_us: 40,
+            fallbacks: 1,
+            certifications: 2,
+        });
+        m.add(&FfwdMetrics {
+            fastforwarded_us: 30,
+            span_us: 60,
+            fallbacks: 0,
+            certifications: 1,
+        });
         assert_eq!(m.fastforwarded_us, 40);
         assert_eq!(m.span_us, 100);
         assert_eq!(m.fallbacks, 1);
         assert_eq!(m.certifications, 3);
         assert!((m.span_fraction() - 0.4).abs() < 1e-12);
-        reset_metrics();
-        assert_eq!(metrics(), FfwdMetrics::default());
         assert_eq!(FfwdMetrics::default().span_fraction(), 0.0);
     }
 }

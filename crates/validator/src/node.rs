@@ -26,15 +26,15 @@ use easis_rte::assembly::SequencedTask;
 use easis_rte::mapping::{ApplicationId, SystemMapping};
 use easis_rte::runnable::{RunnableId, RunnableRegistry};
 use easis_rte::signal::{SignalDb, SignalDbSnapshot, SignalId};
-use easis_sim::snap::RestoreStats;
+use easis_sim::snap::{replay_tail, tail_repeats, RestoreStats};
 use easis_sim::time::{Duration, Instant};
-use easis_baselines::task_monitors::TaskMonitorStats;
+use easis_baselines::task_monitors::{TaskMonitorImage, TaskMonitorStats};
 use easis_osek::kernel::OsSnapshot;
 use easis_rte::control::RunnableControls;
 use easis_watchdog::config::{RunnableHypothesis, WatchdogConfig};
 use easis_watchdog::report::{DetectedFault, RunnableCounters, StateChange};
 use easis_watchdog::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogSnapshot};
-use easis_baselines::hw_watchdog::HardwareWatchdog;
+use easis_baselines::hw_watchdog::{HardwareWatchdog, HwCycleDelta};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -560,6 +560,7 @@ impl CentralNode {
         self.ffwd.backoff = 0;
         self.ffwd.injection_armed = false;
         self.ffwd.stats = FfwdStats::default();
+        self.ffwd.breakdown = FfwdBreakdown::default();
     }
 
     /// Captures a deterministic checkpoint of the started node — see
@@ -642,6 +643,10 @@ impl CentralNode {
         self.exec_monitor.restore_stats(&snap.exec_stats);
         self.started = true;
         self.epoch += 1;
+        // The certification backoff describes the abandoned timeline; a
+        // restored trial starts its jump schedule afresh, whichever trial
+        // ran on this node before it.
+        self.ffwd.backoff = 0;
         stats
     }
 
@@ -661,55 +666,67 @@ impl CentralNode {
     /// redundant kernel re-entries per trial.
     ///
     /// When the span is eligible ([`CentralNode::set_fastforward`],
-    /// `EASIS_FASTFORWARD`, no armed injector window, no enabled traces),
-    /// the hyperperiod macro-stepping engine first certifies the
-    /// steady-state schedule — simulate one hyperperiod, derive its
-    /// closed-form state delta, simulate a guard hyperperiod and require
-    /// the exact same delta — and then fast-forwards whole hyperperiod
-    /// multiples in O(1) per hyperperiod. Certification is *exact*: any
-    /// state that the delta cannot express (pending fault logs, DTC aging,
-    /// stale timers, a wheel rotation boundary) rejects the derivation and
-    /// the engine falls back to event-level simulation, so the final node
-    /// state is bit-identical to a never-fast-forwarded run.
+    /// `EASIS_FASTFORWARD`, no enabled traces), the hyperperiod
+    /// macro-stepping engine first certifies the steady-state schedule —
+    /// simulate one hyperperiod, derive its closed-form state delta,
+    /// simulate a guard hyperperiod and require the exact same delta — and
+    /// then fast-forwards whole hyperperiod multiples in O(1) per
+    /// hyperperiod. That includes an armed injection window: the span
+    /// never ticks the injector, so runnable controls stay constant, and a
+    /// persistent fault settles into a steady state whose fault counters
+    /// and logs advance by a fixed amount per hyperperiod (the delta is
+    /// affine in them). Certification is *exact*: any state the delta
+    /// cannot express (a transient, an occurrence at a new phase, stale
+    /// timers) rejects the derivation; a jump stops short of every
+    /// discrete event the closed form does not model (a TSI or DTC
+    /// threshold crossing, a DTC age-out, a wheel rotation boundary) and
+    /// simulates it at event level. The final node state is bit-identical
+    /// to a never-fast-forwarded run.
     pub fn run_span(&mut self, end: Instant) {
         assert!(self.started, "call start() first");
-        let span = end.saturating_duration_since(self.os.now());
+        let start = self.os.now();
+        let span = end.saturating_duration_since(start);
         let before = self.ffwd.stats;
         if self.ffwd_eligible() {
             self.macro_step_span(end);
         }
         // The residue below one hyperperiod — or the entire span when
-        // macro-stepping stood down — runs at event level.
-        self.os.run_until(end, &mut self.world);
+        // macro-stepping stood down — runs at event level. A span the
+        // engine already carried to `end` is done: a second call at `end`
+        // would fire the timers due at `end` that a task still computing
+        // there leaves for the next span, as one event-level call does.
+        if self.os.now() < end || self.os.now() == start {
+            self.os.run_until(end, &mut self.world);
+        }
         self.ffwd.stats.span += span;
         let after = self.ffwd.stats;
-        crate::ffwd::record(
-            (after.fastforwarded - before.fastforwarded).as_micros(),
-            span.as_micros(),
-            after.fallbacks - before.fallbacks,
-            after.certifications - before.certifications,
-        );
+        crate::ffwd::record(&crate::ffwd::FfwdMetrics {
+            fastforwarded_us: (after.fastforwarded - before.fastforwarded).as_micros(),
+            span_us: span.as_micros(),
+            fallbacks: after.fallbacks - before.fallbacks,
+            certifications: after.certifications - before.certifications,
+        });
     }
 
-    /// Whether [`CentralNode::run_span`] may macro-step right now. The
-    /// divergence triggers stand the engine down entirely: an armed
-    /// injector window mutates runnable controls at millisecond ticks the
-    /// closed-form delta cannot see, and enabled kernel/observability
-    /// traces append per-event records whose absence would be observable.
+    /// Whether [`CentralNode::run_span`] may macro-step right now. Only
+    /// configuration stands the engine down: no steady-state hyperperiod,
+    /// macro-stepping switched off, or enabled kernel/observability traces,
+    /// which append per-event records whose absence would be observable.
+    /// An armed injection window is eligible — the span holds the
+    /// injector's controls fixed (see [`CentralNode::run_span`]).
     fn ffwd_eligible(&self) -> bool {
         !self.ffwd.h.is_zero()
             && self
                 .ffwd
                 .enabled_override
                 .unwrap_or_else(crate::ffwd::env_default)
-            && !self.ffwd.injection_armed
             && !self.os.trace().is_enabled()
             && !self.world.obs.is_enabled()
     }
 
     /// Captures a certification image (cheaper than a [`NodeSnapshot`]:
-    /// append-only logs as lengths, monotone monitor statistics as
-    /// totals — warm captures allocate nothing).
+    /// append-only logs as lengths, monitor statistics as flat counts —
+    /// warm captures allocate nothing).
     fn ffwd_image(&self, img: &mut FfwdImage) {
         self.os.image_into(&mut img.os);
         self.world.signals.image_into(&mut img.signals);
@@ -723,21 +740,19 @@ impl CentralNode {
         img.fault_log = self.world.fault_log.len();
         img.rx_mailbox = self.world.rx_mailbox.len();
         img.ecu_resets = self.world.ecu_resets;
-        img.deadline = (
-            self.deadline_monitor.total(),
-            self.deadline_monitor.first_detection(),
-        );
-        img.exec = (self.exec_monitor.total(), self.exec_monitor.first_detection());
+        self.deadline_monitor.image_into(&mut img.deadline);
+        self.exec_monitor.image_into(&mut img.exec);
     }
 
     /// The macro-stepping loop behind [`CentralNode::run_span`]:
     /// certify the per-hyperperiod delta against a guard hyperperiod, then
-    /// apply it `k` at a time, capped at the next wheel rotation boundary.
-    /// A rejected certification backs off exponentially (1→2→4→8
-    /// hyperperiods simulated plainly, plus a one-millisecond sampling
-    /// phase nudge) so transients — DTC aging, pending cancellations,
-    /// post-treatment settling, samples phased onto a task-period
-    /// boundary — drain before the retry.
+    /// apply it `k` at a time, capped at the next wheel rotation boundary,
+    /// the next DTC age-out and the next threshold crossing. A rejected
+    /// certification backs off exponentially (1→2→4→8 hyperperiods
+    /// simulated plainly, plus a one-millisecond sampling phase nudge) so
+    /// transients — DTC aging, pending cancellations, post-treatment
+    /// settling, the first hyperperiods of a fault, samples phased onto a
+    /// task-period boundary — drain before the retry.
     fn macro_step_span(&mut self, end: Instant) {
         // The engine state moves out while the node simulates (`run_until`
         // needs `&mut self.os`/`&mut self.world` alongside the buffers).
@@ -765,20 +780,26 @@ impl CentralNode {
             self.ffwd_image(&mut ff.img_a);
             self.os.run_until(now + h, &mut self.world);
             self.ffwd_image(&mut ff.img_b);
-            if !derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.scratch, &mut ff.delta) {
-                ff.stats.fallbacks += 1;
-                ff.backoff = (ff.backoff * 2).clamp(1, 8);
+            if let Err(reason) =
+                derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.scratch, &mut ff.delta)
+            {
+                ff.reject(reason);
                 continue;
             }
             // Guard hyperperiod: the event stream must reproduce the exact
-            // same delta before any closed-form application is trusted.
+            // same delta — and append the same log records, one
+            // hyperperiod later — before any closed-form application is
+            // trusted.
             self.os.run_until(now + h * 2, &mut self.world);
             self.ffwd_image(&mut ff.img_a);
-            if !derive_node_delta(&ff.img_b, &ff.img_a, h, &mut ff.scratch, &mut ff.delta2)
-                || ff.delta != ff.delta2
+            if let Err(reason) =
+                derive_node_delta(&ff.img_b, &ff.img_a, h, &mut ff.scratch, &mut ff.delta2)
             {
-                ff.stats.fallbacks += 1;
-                ff.backoff = (ff.backoff * 2).clamp(1, 8);
+                ff.reject(reason);
+                continue;
+            }
+            if ff.delta != ff.delta2 || !self.logs_repeat(&ff.delta, h) {
+                ff.reject(Reject::DeltaMismatch);
                 continue;
             }
             ff.backoff = 0;
@@ -793,23 +814,31 @@ impl CentralNode {
                 let boundary = ((now_us >> WHEEL_ROTATION_BITS) + 1) << WHEEL_ROTATION_BITS;
                 let k_rot = (boundary - now_us - 1) / h.as_micros();
                 // An aging DTC memory bounds the jump to just short of
-                // the earliest age-out: removal is a discrete event the
-                // delta cannot express, so it must be simulated — and it
-                // *changes* the steady state, so the delta must then be
-                // re-certified (unlike a rotation crossing, which only
-                // relabels the wheel).
-                let k_age = match ff.delta.fmf.dtc_aging {
-                    0 => u64::MAX,
-                    inc => match self.world.fmf.pending_cycles_to_age_out() {
-                        Some(remaining) => (remaining.saturating_sub(1) as u64) / inc as u64,
-                        None => 0,
-                    },
-                };
-                let k = k_span.min(k_rot).min(k_age);
+                // the earliest age-out, and an advancing fault counter to
+                // just short of its threshold (a TSI count of a task not
+                // yet faulty, a Pending DTC's occurrences): each is a
+                // discrete event the delta cannot express, so it must be
+                // simulated — and it *changes* the steady state, so the
+                // delta must then be re-certified (unlike a rotation
+                // crossing, which only relabels the wheel).
+                let k_age = self.world.fmf.hyperperiods_before_age_out(&ff.delta.fmf);
+                let k_threshold = self
+                    .world
+                    .watchdog
+                    .hyperperiods_below_threshold(&ff.delta.watchdog)
+                    .min(self.world.fmf.hyperperiods_before_confirm(&ff.delta.fmf));
+                let k = k_span.min(k_rot).min(k_age).min(k_threshold);
                 if k == 0 {
-                    ff.stats.fallbacks += 1;
+                    let recertify = k_threshold == 0 || k_age == 0;
+                    ff.fall_back(if k_threshold == 0 {
+                        Reject::ThresholdCap
+                    } else if k_age == 0 {
+                        Reject::AgeOutCap
+                    } else {
+                        Reject::RotationCap
+                    });
                     self.os.run_until(now + h, &mut self.world);
-                    if k_age == 0 {
+                    if recertify {
                         continue 'certify;
                     }
                     // The rotation boundary falls inside the next
@@ -818,17 +847,39 @@ impl CentralNode {
                     // delta is still valid, resume jumping.
                     continue;
                 }
-                self.os.apply_cycle_program(&ff.delta.os, k);
-                self.world.watchdog.apply_cycle_delta(&ff.delta.watchdog, k);
-                self.world
-                    .signals
-                    .shift_updated_at(&ff.delta.signal_slots, h * k);
-                self.world.hw_watchdog.shift_last_kick(h * k);
-                self.world.fmf.apply_cycle_delta(&ff.delta.fmf, k);
+                self.apply_node_delta(&ff.delta, h, k);
                 ff.stats.fastforwarded += h * k;
+                if ff.injection_armed {
+                    ff.breakdown.armed_fastforwarded += h * k;
+                }
             }
         }
         self.ffwd = ff;
+    }
+
+    /// The guard's log check: both certification hyperperiods appended the
+    /// same fault-log and FMF-log records, one hyperperiod apart, so the
+    /// closed form may replay them.
+    fn logs_repeat(&self, delta: &NodeCycleDelta, h: Duration) -> bool {
+        tail_repeats(&self.world.fault_log, delta.fault_log, |mut fault| {
+            fault.at += h;
+            fault
+        }) && self.world.fmf.log_tail_repeats(delta.fmf.log_records, h)
+    }
+
+    /// Applies a certified node delta `k` times in closed form.
+    fn apply_node_delta(&mut self, delta: &NodeCycleDelta, h: Duration, k: u64) {
+        self.os.apply_cycle_program(&delta.os, k);
+        self.world.watchdog.apply_cycle_delta(&delta.watchdog, k);
+        self.world.signals.shift_updated_at(&delta.signal_slots, h * k);
+        self.world.hw_watchdog.apply_cycle_delta(&delta.hw_watchdog, k);
+        self.world.fmf.apply_cycle_delta(&delta.fmf, h, k);
+        replay_tail(&mut self.world.fault_log, delta.fault_log, k, |mut fault, j| {
+            fault.at += h * j;
+            fault
+        });
+        self.deadline_monitor.apply_advance(&delta.deadline, k);
+        self.exec_monitor.apply_advance(&delta.exec, k);
     }
 
     /// Per-node macro-stepping override: `Some(false)` disables tail
@@ -840,9 +891,11 @@ impl CentralNode {
     }
 
     /// Marks the injector window armed/disarmed for
-    /// [`CentralNode::run_span`]: an armed window can rewrite runnable
-    /// controls at any millisecond tick, so macro-stepping stands down
-    /// until the caller disarms again.
+    /// [`CentralNode::run_span`]. It only labels time: hyperperiods the
+    /// engine skips while the mark is set count towards
+    /// [`FfwdBreakdown::armed_fastforwarded`]. Macro-stepping itself does
+    /// not depend on it — `run_span` never ticks the injector, so an armed
+    /// window's controls stay constant for the whole span.
     pub fn set_injection_armed(&mut self, armed: bool) {
         self.ffwd.injection_armed = armed;
     }
@@ -851,6 +904,12 @@ impl CentralNode {
     /// [`CentralNode::reset`].
     pub fn ffwd_stats(&self) -> FfwdStats {
         self.ffwd.stats
+    }
+
+    /// Why this node's macro-stepping fell back, by reason, and how much
+    /// armed time it skipped, since build or [`CentralNode::reset`].
+    pub fn ffwd_breakdown(&self) -> FfwdBreakdown {
+        self.ffwd.breakdown
     }
 
     /// The configuration-derived steady-state hyperperiod
@@ -905,15 +964,63 @@ pub struct FfwdStats {
     /// Simulated time [`CentralNode::run_span`] covered in total,
     /// fast-forwarded or not (the fraction's denominator).
     pub span: Duration,
-    /// Rejected certification attempts plus rotation-boundary crossings
-    /// simulated event-by-event.
+    /// Rejected certification attempts plus jump caps simulated
+    /// event-by-event (the sum of [`FfwdBreakdown`]'s reasons).
     pub fallbacks: u64,
     /// Successful certifications (guard hyperperiod reproduced the delta).
     pub certifications: u64,
 }
 
+/// Per-reason split of [`FfwdStats::fallbacks`] (their exact sum), plus
+/// the armed time the engine skipped (see [`CentralNode::ffwd_breakdown`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FfwdBreakdown {
+    /// Certification samples taken while a task waited for dispatch.
+    pub not_quiescent: u64,
+    /// Certification samples whose state differed in a way no delta
+    /// expresses (a transient, a new log phase, a verdict change).
+    pub state_mismatch: u64,
+    /// Guard hyperperiods whose per-hyperperiod advance (or appended log
+    /// records) differed from the first hyperperiod's.
+    pub delta_mismatch: u64,
+    /// Hyperperiods simulated because a TSI count or a Pending DTC was
+    /// about to cross its threshold.
+    pub threshold_cap: u64,
+    /// Hyperperiods simulated because a Pending DTC was about to age out.
+    pub age_out_cap: u64,
+    /// Hyperperiods simulated across a timer-wheel rotation boundary.
+    pub rotation_cap: u64,
+    /// Simulated time skipped while [`CentralNode::set_injection_armed`]
+    /// marked the injection window armed.
+    pub armed_fastforwarded: Duration,
+}
+
+impl FfwdBreakdown {
+    /// The fallback total: the sum of every reason.
+    pub fn fallbacks(&self) -> u64 {
+        self.not_quiescent
+            + self.state_mismatch
+            + self.delta_mismatch
+            + self.threshold_cap
+            + self.age_out_cap
+            + self.rotation_cap
+    }
+}
+
+/// Why the engine simulated a hyperperiod instead of jumping it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reject {
+    NotQuiescent,
+    StateMismatch,
+    DeltaMismatch,
+    ThresholdCap,
+    AgeOutCap,
+    RotationCap,
+}
+
 /// The per-node macro-stepping engine: the configuration-derived
-/// hyperperiod, the stand-down switches, the retained image/delta buffers
+/// hyperperiod, the per-node override, the armed-window label, the
+/// certification backoff, the retained image/delta buffers
 /// (so repeated certifications are allocation-free in the steady state),
 /// and the per-node counters.
 #[derive(Debug, Default)]
@@ -928,6 +1035,7 @@ struct FfwdState {
     delta2: NodeCycleDelta,
     scratch: CycleScratch,
     stats: FfwdStats,
+    breakdown: FfwdBreakdown,
 }
 
 impl FfwdState {
@@ -937,15 +1045,36 @@ impl FfwdState {
             ..FfwdState::default()
         }
     }
+
+    /// Counts one fallback under its reason.
+    fn fall_back(&mut self, reason: Reject) {
+        self.stats.fallbacks += 1;
+        let b = &mut self.breakdown;
+        *match reason {
+            Reject::NotQuiescent => &mut b.not_quiescent,
+            Reject::StateMismatch => &mut b.state_mismatch,
+            Reject::DeltaMismatch => &mut b.delta_mismatch,
+            Reject::ThresholdCap => &mut b.threshold_cap,
+            Reject::AgeOutCap => &mut b.age_out_cap,
+            Reject::RotationCap => &mut b.rotation_cap,
+        } += 1;
+    }
+
+    /// A rejected certification: count it and back off.
+    fn reject(&mut self, reason: Reject) {
+        self.fall_back(reason);
+        self.backoff = (self.backoff * 2).clamp(1, 8);
+    }
 }
 
 /// One certification image: the node state the delta derivation compares.
 /// Deliberately cheaper than a [`NodeSnapshot`]: the append-only logs are
-/// captured as lengths (within one uninterrupted span, an unchanged length
-/// proves unchanged content) and the monotone baseline-monitor statistics
-/// as totals, so a warm capture clones no maps. Runnable controls are not
-/// captured at all — only injector ticks mutate them, and an armed
-/// injector window already stands the engine down.
+/// captured as lengths (the records a hyperperiod appends are read from
+/// the live log tail, see [`CentralNode::run_span`]) and the baseline
+/// monitors as flat per-task counts, so a warm capture clones no maps.
+/// Runnable controls are not captured at all — only injector ticks mutate
+/// them, and `run_span` never ticks the injector, so they are constant
+/// over every span the engine certifies.
 #[derive(Debug, Default)]
 struct FfwdImage {
     os: OsSnapshot,
@@ -959,56 +1088,67 @@ struct FfwdImage {
     fault_log: usize,
     rx_mailbox: usize,
     ecu_resets: u32,
-    deadline: (u32, Option<(TaskId, Instant)>),
-    exec: (u32, Option<(TaskId, Instant)>),
+    deadline: TaskMonitorImage,
+    exec: TaskMonitorImage,
 }
 
 /// The compiled node-level steady-state delta: one hyperperiod's kernel
-/// cycle program, watchdog cycle delta, the signal slots whose timestamps
-/// shift by exactly one hyperperiod, and the FMF's DTC aging advance.
+/// cycle program, watchdog and FMF deltas, the signal slots whose
+/// timestamps shift by exactly one hyperperiod, the hardware watchdog's
+/// motion, the fault-log records appended per hyperperiod and the
+/// baseline monitors' per-task detection advances.
 #[derive(Debug, Default, PartialEq)]
 struct NodeCycleDelta {
     os: CycleProgram,
     watchdog: WatchdogCycleDelta,
     signal_slots: Vec<u32>,
     fmf: FmfCycleDelta,
+    hw_watchdog: HwCycleDelta,
+    fault_log: usize,
+    deadline: Vec<(TaskId, u32)>,
+    exec: Vec<(TaskId, u32)>,
 }
 
 /// Derives the closed-form per-hyperperiod delta between two images taken
-/// exactly `h` apart, or reports that the span is not in certifiable
-/// steady state. Every append-only log must be untouched, every monotone
-/// monitor counter unchanged, the hardware watchdog an exact `h`
-/// time-shift, and the kernel/watchdog/signal/FMF layers must each yield
-/// a well-formed shift (the FMF's being a uniform DTC-aging advance — the
-/// post-fault drain the tail spends hundreds of milliseconds in).
+/// exactly `h` apart, or reports why the span is not in certifiable
+/// steady state: the kernel was not idle at a sample, or some state moved
+/// in a way no delta expresses. Treatments, the receive mailbox and the
+/// ECU reset count must be untouched; the fault log may only grow (its
+/// records are compared at the guard, see [`CentralNode::run_span`]); the
+/// kernel, watchdog, signal, FMF, hardware-watchdog and monitor layers
+/// must each yield a well-formed delta.
 fn derive_node_delta(
     a: &FfwdImage,
     b: &FfwdImage,
     h: Duration,
     scratch: &mut CycleScratch,
     out: &mut NodeCycleDelta,
-) -> bool {
-    if a.treatments != b.treatments
-        || a.fault_log != b.fault_log
-        || a.rx_mailbox != b.rx_mailbox
-        || a.ecu_resets != b.ecu_resets
-        || a.deadline != b.deadline
-        || a.exec != b.exec
-        || !FmfSnapshot::derive_cycle_delta(&a.fmf, &b.fmf, &mut out.fmf)
-    {
-        return false;
+) -> Result<(), Reject> {
+    if !a.os.is_quiescent() || !b.os.is_quiescent() {
+        return Err(Reject::NotQuiescent);
     }
     let (Some(hw_a), Some(hw_b)) = (&a.hw_watchdog, &b.hw_watchdog) else {
-        return false;
+        return Err(Reject::StateMismatch);
     };
-    let mut shifted = hw_a.clone();
-    shifted.shift_last_kick(h);
-    if shifted != *hw_b {
-        return false;
-    }
-    OsSnapshot::derive_cycle_program(&a.os, &b.os, h, scratch, &mut out.os)
+    let Some(hw) = HardwareWatchdog::derive_cycle_delta(hw_a, hw_b, h) else {
+        return Err(Reject::StateMismatch);
+    };
+    let steady = a.treatments == b.treatments
+        && a.rx_mailbox == b.rx_mailbox
+        && a.ecu_resets == b.ecu_resets
+        && b.fault_log >= a.fault_log
+        && TaskMonitorImage::derive_advance(&a.deadline, &b.deadline, &mut out.deadline)
+        && TaskMonitorImage::derive_advance(&a.exec, &b.exec, &mut out.exec)
+        && FmfSnapshot::derive_cycle_delta(&a.fmf, &b.fmf, h, &mut out.fmf)
+        && OsSnapshot::derive_cycle_program(&a.os, &b.os, h, scratch, &mut out.os)
         && WatchdogSnapshot::derive_cycle_delta(&a.watchdog, &b.watchdog, h, &mut out.watchdog)
-        && SignalDbSnapshot::derive_shift(&a.signals, &b.signals, h, &mut out.signal_slots)
+        && SignalDbSnapshot::derive_shift(&a.signals, &b.signals, h, &mut out.signal_slots);
+    if !steady {
+        return Err(Reject::StateMismatch);
+    }
+    out.hw_watchdog = hw;
+    out.fault_log = b.fault_log - a.fault_log;
+    Ok(())
 }
 
 /// A deterministic checkpoint of a started [`CentralNode`] at one instant:

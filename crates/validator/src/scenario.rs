@@ -471,7 +471,10 @@ fn outcome_from_cached(cached: &[(DetectorId, Instant)], spec: &TrialSpec) -> Tr
 /// the baseline's ~one-per-millisecond, and every skipped tick is provably
 /// a no-op (`Injector::tick` only acts on the Pending→Armed and
 /// Armed→Done edges), so the outcome is bit-identical to
-/// [`CentralNode::run_until`] over the same window.
+/// [`CentralNode::run_until`] over the same window. Both uninterrupted
+/// spans go through [`CentralNode::run_span`], so a persistent fault's
+/// steady state inside the armed window is macro-stepped like a quiescent
+/// tail.
 fn run_trial_tail(
     node: &mut CentralNode,
     injector: &mut Injector,
@@ -480,10 +483,10 @@ fn run_trial_tail(
 ) -> TrialOutcome {
     injector.attach_obs(node.world.obs.clone());
     let fork = node.os.now();
-    // Macro-stepping stands down while the injection window is armed: the
-    // armed injector rewrites runnable controls, state the closed-form
-    // hyperperiod delta does not cover. The golden prefix and the
-    // post-disarm tail remain eligible.
+    // Every span below may macro-step, the armed window included: no tick
+    // falls inside a span, so the controls the armed injector set stay
+    // constant across it. The armed mark only labels skipped time for
+    // `CentralNode::ffwd_breakdown`.
     let arms = ceil_to_tick(spec.injection.from) <= horizon;
     injector.tick(fork, &mut node.world.controls, &mut node.os);
     node.set_injection_armed(arms);
@@ -880,6 +883,63 @@ mod tests {
         let parallel = run_plan(&plan, horizon, &CampaignExecutor::new(2));
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), plan.len());
+    }
+
+    /// A restored trial's jump schedule must not depend on the trial that
+    /// ran on the node before it: the certification backoff belongs to the
+    /// abandoned timeline. The same trial, restored from the same golden
+    /// checkpoint after two very different predecessors, must produce the
+    /// same outcome and the same macro-stepping counters.
+    #[test]
+    fn restored_trial_is_independent_of_its_predecessor() {
+        let horizon = ms(1_500);
+        let fork = ms(300);
+        let trial = |class: ErrorClass, to_ms: u64| TrialSpec {
+            seed: 7,
+            injection: Injection::new(class, fork, ms(to_ms)),
+        };
+        let target = easis_rte::runnable::RunnableId(4);
+        // A saturating loop overrun leaves the engine backed off to the
+        // horizon; a heartbeat loss that disarms early ends in a
+        // certified, fast-forwarded tail.
+        let busy = trial(
+            ErrorClass::LoopOverrun {
+                runnable: target,
+                iterations: 20_000,
+            },
+            2_000,
+        );
+        let calm = trial(ErrorClass::HeartbeatLoss { runnable: target }, 320);
+        let measured = trial(ErrorClass::SkipRunnable { runnable: target }, 700);
+        let blueprint = NodeBlueprint::compile(campaign_node_config());
+        let mut node = CentralNode::build_from_blueprint(&blueprint);
+        node.start();
+        node.run_span(fork);
+        let ckpt = node.snapshot();
+        let mut injector = Injector::none();
+        let mut after = |predecessor: &TrialSpec| {
+            node.restore_from(&ckpt);
+            injector.reload([predecessor.injection.clone()]);
+            run_trial_tail(&mut node, &mut injector, predecessor, horizon);
+            node.restore_from(&ckpt);
+            let (stats, breakdown) = (node.ffwd_stats(), node.ffwd_breakdown());
+            injector.reload([measured.injection.clone()]);
+            let outcome = run_trial_tail(&mut node, &mut injector, &measured, horizon);
+            let (s, b) = (node.ffwd_stats(), node.ffwd_breakdown());
+            let delta = (
+                s.fastforwarded - stats.fastforwarded,
+                s.fallbacks - stats.fallbacks,
+                s.certifications - stats.certifications,
+                b.not_quiescent - breakdown.not_quiescent,
+                b.state_mismatch - breakdown.state_mismatch,
+                b.armed_fastforwarded - breakdown.armed_fastforwarded,
+            );
+            (outcome, delta, node.world.fault_log.clone())
+        };
+        let after_busy = after(&busy);
+        let after_calm = after(&calm);
+        assert!(after_busy.1 .0 > Duration::ZERO, "{:?}", after_busy.1);
+        assert_eq!(after_busy, after_calm);
     }
 
     #[test]

@@ -1063,13 +1063,15 @@ proptest! {
             node.start();
             // Injection-free prefix: eligible for macro-stepping.
             node.run_span(spec.injection.from);
-            // Armed window: the engine stands down, the injector ticks
-            // at millisecond granularity like the experiments do.
+            // Armed window through the per-millisecond injector loop of
+            // `run_until`, like the experiments drive it; that loop never
+            // macro-steps (the armed-window sibling below covers
+            // `run_span` across the window).
             node.set_injection_armed(true);
             let mut injector = Injector::new([spec.injection.clone()]);
             node.run_until(spec.injection.to, &mut injector);
             node.set_injection_armed(false);
-            // Quiescent tail: eligible again (modulo DTC aging et al.).
+            // Post-disarm tail: macro-stepped (modulo DTC aging et al.).
             node.run_span(horizon);
             node
         };
@@ -1093,6 +1095,208 @@ proptest! {
             spec.injection
         );
     }
+}
+
+/// The seven injection classes, parameterised from proptest draws: a
+/// runnable-level class on one of the full node's nine runnables, a
+/// branch override of a task chart, or a rescaled activation alarm.
+fn any_error_class(
+    node: &easis::validator::CentralNode,
+    pick: u32,
+    runnable: u32,
+    magnitude: u64,
+) -> easis::injection::injector::ErrorClass {
+    use easis::injection::injector::ErrorClass;
+    let runnable = RunnableId(runnable % 9);
+    let task = ["SafeSpeedTask", "SafeLaneTask", "SteerByWireTask"][magnitude as usize % 3];
+    match pick % 7 {
+        0 => ErrorClass::ExecutionSlowdown {
+            runnable,
+            scale_ppm: (2 + magnitude % 60) * 1_000_000,
+        },
+        1 => ErrorClass::HeartbeatLoss { runnable },
+        2 => ErrorClass::SkipRunnable { runnable },
+        3 => ErrorClass::DuplicateDispatch {
+            runnable,
+            extra: 1 + (magnitude % 5) as u32,
+        },
+        4 => ErrorClass::LoopOverrun {
+            runnable: RunnableId([4, 7][magnitude as usize % 2]),
+            iterations: 500 + (magnitude % 20_000) as u32,
+        },
+        5 => ErrorClass::BranchOverride {
+            task_name: task.to_string(),
+            branch: (magnitude % 3) as usize,
+        },
+        _ => ErrorClass::AlarmScale {
+            alarm: node.alarms[task],
+            scale_ppm: [500_000, 2_000_000, 3_000_000][magnitude as usize % 3],
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Macro-stepping inside armed injection windows is invisible: a trial
+    /// driven through the node's public API exactly as the forked campaign
+    /// runner drives it — `run_span` to the arming tick, an injector tick,
+    /// `run_span` across the whole armed window, a tick at disarm,
+    /// `run_span` to the horizon — ends in the same state with
+    /// fast-forwarding on as with it off, for every error class and random
+    /// windows (including ones armed past the horizon). The armed spans
+    /// are where the affine deltas and the threshold caps do their work.
+    #[test]
+    fn armed_window_macro_stepping_equals_event_level_simulation(
+        class_pick in 0u32..7,
+        runnable in any::<u32>(),
+        magnitude in any::<u64>(),
+        from_ms in 100u64..600,
+        len_ms in 20u64..1_200,
+        horizon_ms in 800u64..1_600,
+    ) {
+        use easis::injection::injector::{Injection, Injector};
+        use easis::validator::scenario::campaign_node_config;
+        use easis::validator::CentralNode;
+        let horizon = Instant::from_millis(horizon_ms);
+        let fork = Instant::from_millis(from_ms);
+        let to = Instant::from_millis(from_ms + len_ms);
+        let class = any_error_class(
+            &CentralNode::build(campaign_node_config()),
+            class_pick,
+            runnable,
+            magnitude,
+        );
+        let injection = Injection::new(class, fork, to);
+        let run = |ffwd: bool| {
+            let mut node = CentralNode::build(campaign_node_config());
+            node.set_fastforward(Some(ffwd));
+            node.start();
+            node.run_span(fork);
+            let mut injector = Injector::new([injection.clone()]);
+            injector.tick(fork, &mut node.world.controls, &mut node.os);
+            node.set_injection_armed(true);
+            if to <= horizon {
+                node.run_span(to);
+                injector.tick(to, &mut node.world.controls, &mut node.os);
+                node.set_injection_armed(false);
+            }
+            node.run_span(horizon);
+            injector.tick(horizon, &mut node.world.controls, &mut node.os);
+            node.set_injection_armed(false);
+            node
+        };
+        let mut fast = run(true);
+        let mut plain = run(false);
+        let stats = fast.ffwd_stats();
+        prop_assert_eq!(stats.fallbacks, fast.ffwd_breakdown().fallbacks());
+        prop_assert_eq!(plain.ffwd_stats().fastforwarded, Duration::ZERO);
+        prop_assert_eq!(fast.os.now(), plain.os.now());
+        prop_assert_eq!(&fast.world.fault_log, &plain.world.fault_log);
+        let a = fast.snapshot();
+        let b = plain.snapshot();
+        prop_assert!(
+            a.content_eq(&b),
+            "armed macro-stepping diverged from event level for {:?} ({:?})",
+            injection,
+            stats
+        );
+        prop_assert_eq!(a.os_canonical(), b.os_canonical());
+    }
+}
+
+/// Runs a heartbeat-loss fault on `SAFE_CC_process`, armed from 200 ms to
+/// past the 1.5 s horizon, through `run_span` on a node built from
+/// `config` and adjusted by `tune` before start — once macro-stepped, once
+/// at event level.
+fn armed_heartbeat_loss(
+    config: easis::validator::NodeConfig,
+    tune: impl Fn(&mut easis::validator::CentralNode),
+) -> (easis::validator::CentralNode, easis::validator::CentralNode) {
+    use easis::injection::injector::{ErrorClass, Injection, Injector};
+    use easis::validator::CentralNode;
+    let from = Instant::from_millis(200);
+    let run = |ffwd: bool| {
+        let mut node = CentralNode::build(config.clone());
+        tune(&mut node);
+        node.set_fastforward(Some(ffwd));
+        node.start();
+        node.run_span(from);
+        let target = node.runnable("SAFE_CC_process");
+        let mut injector = Injector::new([Injection::new(
+            ErrorClass::HeartbeatLoss { runnable: target },
+            from,
+            Instant::from_millis(2_000),
+        )]);
+        injector.tick(from, &mut node.world.controls, &mut node.os);
+        node.set_injection_armed(true);
+        node.run_span(Instant::from_millis(1_500));
+        node
+    };
+    (run(true), run(false))
+}
+
+/// Asserts a macro-stepped node ended bit-identical to its event-level
+/// twin.
+fn assert_same_end_state(
+    fast: &mut easis::validator::CentralNode,
+    plain: &mut easis::validator::CentralNode,
+) {
+    assert_eq!(fast.os.now(), plain.os.now());
+    assert_eq!(fast.world.fault_log, plain.world.fault_log);
+    let a = fast.snapshot();
+    let b = plain.snapshot();
+    assert!(a.content_eq(&b), "macro-stepped end state diverged from event level");
+    assert_eq!(a.os_canonical(), b.os_canonical());
+}
+
+/// Threshold cap, TSI: with an error threshold of 40, the persistent
+/// heartbeat loss certifies and jumps while `SafeSpeedTask`'s aliveness
+/// count climbs, then must stop short of the count reaching 40, simulate
+/// the hyperperiod in which the task turns faulty, re-certify the new
+/// steady state and jump again.
+#[test]
+fn armed_jump_stops_at_the_tsi_error_threshold() {
+    use easis::validator::scenario::campaign_node_config;
+    let config = easis::validator::NodeConfig {
+        error_threshold: 40,
+        ..campaign_node_config()
+    };
+    let (mut fast, mut plain) = armed_heartbeat_loss(config, |_| {});
+    let breakdown = fast.ffwd_breakdown();
+    assert!(breakdown.threshold_cap >= 1, "{breakdown:?}");
+    assert!(fast.ffwd_stats().certifications >= 2, "{:?}", fast.ffwd_stats());
+    assert!(
+        breakdown.armed_fastforwarded >= Duration::from_millis(600),
+        "{breakdown:?}"
+    );
+    let task = fast.tasks["SafeSpeedTask"];
+    assert!(fast.world.watchdog.task_state(task).is_faulty());
+    assert_same_end_state(&mut fast, &mut plain);
+}
+
+/// Threshold cap, DTC: with a confirmation threshold of 20, the recurring
+/// aliveness DTC stays Pending through the first jumps; the engine must
+/// stop short of its confirmation, simulate it, re-certify and jump on.
+#[test]
+fn armed_jump_stops_at_the_dtc_confirmation() {
+    use easis::fmf::dtc::{DtcCode, DtcStatus, DtcStore};
+    use easis::validator::scenario::campaign_node_config;
+    let config = easis::validator::NodeConfig {
+        error_threshold: 100_000,
+        ..campaign_node_config()
+    };
+    let (mut fast, mut plain) = armed_heartbeat_loss(config, |node| {
+        *node.world.fmf.dtc_mut() = DtcStore::new(20, 40);
+    });
+    let breakdown = fast.ffwd_breakdown();
+    assert!(breakdown.threshold_cap >= 1, "{breakdown:?}");
+    assert!(fast.ffwd_stats().certifications >= 2, "{:?}", fast.ffwd_stats());
+    let code = DtcCode::of(fast.runnable("SAFE_CC_process"), FaultKind::Aliveness);
+    let record = fast.world.fmf.dtc().get(code).expect("recurring DTC");
+    assert_eq!(record.status, DtcStatus::Confirmed);
+    assert!(record.occurrences > 20, "{record:?}");
+    assert_same_end_state(&mut fast, &mut plain);
 }
 
 /// Forced mid-span fallback, case 1 — DTC aging and age-out: this exact
