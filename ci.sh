@@ -39,8 +39,8 @@ echo "==> campaign_bench smoke run (forked vs pooled vs fresh, schema + alloc ga
 # Reduced trial count from a scratch dir: the bit-identical forked-vs-
 # pooled-vs-fresh stats assertions, the steady-state allocation floor,
 # the faulty-trial allocation floor and the horizon-scaling zero-alloc
-# gate always apply, as do the snapshot-probe gates (warm capture
-# allocation floor, clean-tail dirty fraction < 1.0); the prefix-reuse
+# gate always apply, as do the snapshot-probe gates (warm capture and
+# warm clean-tail restore allocation floors); the prefix-reuse
 # (>=1.5x) and pooled-vs-fresh (>=2x) speedup assertions are skipped
 # below the full 200 trials/class so smoke runs stay timing-noise-proof,
 # and the committed BENCH_campaign.json (full-scale record) is not
@@ -51,19 +51,13 @@ for key in schema_version trials workers simulated_ms_per_trial setup \
            forked pooled fresh prefix_reuse speedup_vs_pooled \
            speedup_pooled_vs_fresh steady_state clean_trial_allocs \
            faulty_trial_allocs horizon_scaling_allocs snapshot \
-           capture_ns restore_ns restore_dirty_fraction snapshot_allocs \
+           capture_ns restore_ns snapshot_allocs restore_allocs \
            tail_fastforward ffwd_span_fraction fallbacks certifications \
            speedup_vs_baseline parallel_efficiency \
            worker_sweep worker_sweep_note host_cores; do
   grep -q "\"$key\"" "$campaign_scratch/BENCH_campaign.json" \
     || { echo "BENCH_campaign.json missing key: $key"; exit 1; }
 done
-# The bench asserts dirty fraction < 1.0 itself; re-check the emitted
-# record here so a report written by a stale binary cannot slip through.
-dirty="$(grep '"restore_dirty_fraction"' "$campaign_scratch/BENCH_campaign.json" \
-  | head -n1 | sed 's/[^0-9.]//g')"
-awk -v d="$dirty" 'BEGIN { exit !(d < 1.0) }' \
-  || { echo "restore_dirty_fraction is $dirty (must be < 1.0): delta restore regressed to a full copy"; exit 1; }
 # Macro-stepping must have engaged even at smoke scale: the forked path's
 # quiescent tails are hyperperiodic regardless of trial count.
 ffwd="$(grep '"ffwd_span_fraction"' "$campaign_scratch/BENCH_campaign.json" \
@@ -79,6 +73,15 @@ echo "==> effect dispatch stays move-free (split-borrow kernel invariant)"
 # deliberate take/restore replica as its moved-body baseline.
 if grep -rn 'take().expect("body present")' crates/osek/src/; then
   echo "moved-body dispatch crept back into the kernel effect path"; exit 1
+fi
+
+echo "==> checkpoints stay one capture, one restore (no lineage protocol)"
+# Every component captures with a side-effect-free snapshot_into and
+# restores with a plain capacity-retained copy. The epoch/lineage
+# delta-restore protocol was measured not to pay for itself and deleted;
+# its bookkeeping names must not creep back into the crates.
+if grep -rnE 'derived_from|RestoreStats|next_snapshot_id' crates/; then
+  echo "delta-restore lineage bookkeeping crept back into the crates"; exit 1
 fi
 
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"

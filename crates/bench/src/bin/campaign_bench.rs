@@ -47,16 +47,14 @@
 //! per-worker-count trials/sec sweep over 1/2/4/8 workers records how
 //! the forked path scales.
 //!
-//! Since the delta-snapshot protocol landed (`easis_sim::snap`), the
-//! `snapshot` probe measures the checkpoint machinery itself on a
+//! The `snapshot` probe measures the checkpoint machinery itself on a
 //! standalone node: a warm capacity-retained capture
-//! ([`CentralNode::snapshot_into`]), a delta restore after a clean
-//! (injection-free) tail run to the horizon, the dirty fraction that
-//! restore reported, and the heap allocations of a warmed capture. Two
-//! gates are asserted at every size: a warmed capture allocates at most
-//! [`SNAPSHOT_ALLOC_FLOOR`] blocks, and the clean-tail restore's dirty
-//! fraction is **< 1.0** — the epoch stamps must prune regions the tail
-//! never touched, or delta restore has regressed to a full copy.
+//! ([`CentralNode::snapshot_into`]), a capacity-retained full-copy
+//! restore ([`CentralNode::restore_from`]) after a clean (injection-free)
+//! tail run to the horizon, and the heap allocations of each when warm.
+//! Two gates are asserted at every size: a warmed capture and a warmed
+//! restore each allocate at most [`SNAPSHOT_ALLOC_FLOOR`] blocks, or a
+//! snapshot or component buffer has stopped retaining its capacity.
 //!
 //! Since hyperperiod macro-stepping landed (`easis_validator::ffwd`), the
 //! `tail_fastforward` probe brackets the forked headline run with the
@@ -70,7 +68,7 @@
 //! because an oversubscribed sweep measures contention, not scaling.
 //!
 //! Results land in `BENCH_campaign.json` (stable schema,
-//! `schema_version` 5; `host_cores` records the recording host's
+//! `schema_version` 6; `host_cores` records the recording host's
 //! available parallelism next to the sweep so readers can tell scaling
 //! from oversubscription; each sweep entry carries its
 //! `parallel_efficiency` = trials/sec ÷ (workers × workers=1 trials/sec)).
@@ -92,7 +90,6 @@ use easis_injection::executor::CampaignExecutor;
 use easis_injection::injector::{ErrorClass, Injection};
 use easis_rte::runnable::RunnableId;
 use easis_sim::time::{Duration, Instant};
-use easis_sim::snap::RestoreStats;
 use easis_validator::node::{CentralNode, NodeBlueprint, NodeSnapshot};
 use easis_validator::scenario::{
     campaign_node_config, run_plan, run_plan_fresh, run_plan_pooled, run_trial_pooled,
@@ -174,9 +171,10 @@ const SWEEP_SCALING_FLOOR: f64 = 1.3;
 /// allocation through.
 const STEADY_STATE_ALLOC_FLOOR: u64 = 1;
 
-/// Maximum heap blocks a warmed `CentralNode::snapshot_into` capture may
-/// allocate. Every snapshot buffer is capacity-retained, so a warm
-/// capture measures 0; one block of slack absorbs collection
+/// Maximum heap blocks a warmed `CentralNode::snapshot_into` capture, or
+/// a warmed `CentralNode::restore_from` after a clean tail, may allocate.
+/// Every snapshot and component buffer is capacity-retained, so both
+/// measure 0 warm; one block of slack absorbs collection
 /// growth-point jitter without letting a real per-capture allocation
 /// through.
 const SNAPSHOT_ALLOC_FLOOR: u64 = 1;
@@ -213,7 +211,7 @@ fn best_of<F: FnMut()>(reps: u32, mut op: F) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Report schema (schema_version 4 — keep stable, future PRs diff this).
+// Report schema (schema_version 6 — keep stable, future PRs diff this).
 // ---------------------------------------------------------------------
 
 /// One campaign execution path, full-plan wall clock and derived rates.
@@ -280,21 +278,21 @@ struct PrefixReuseProbe {
     speedup_vs_pooled: f64,
 }
 
-/// Delta-snapshot probe on a standalone node: what one capture and one
-/// clean-tail restore cost, and how much state the restore really moves.
+/// Snapshot probe on a standalone node: what one capture and one
+/// clean-tail restore cost, and what each allocates when warm.
 #[derive(Serialize)]
 struct SnapshotProbe {
     /// Warm `CentralNode::snapshot_into` into a capacity-retained buffer.
     capture_ns: f64,
-    /// Delta `restore_from` after a clean (injection-free) tail run from
-    /// the fork instant to the horizon.
+    /// `restore_from` after a clean (injection-free) tail run from the
+    /// fork instant to the horizon.
     restore_ns: f64,
-    /// Regions copied / regions examined by that restore. Asserted
-    /// < 1.0: the epoch stamps must prune regions the tail never wrote.
-    restore_dirty_fraction: f64,
     /// Heap allocations of a warmed capture (floor
     /// [`SNAPSHOT_ALLOC_FLOOR`]).
     snapshot_allocs: u64,
+    /// Heap allocations of a warmed `restore_from` after a clean tail run
+    /// (floor [`SNAPSHOT_ALLOC_FLOOR`]).
+    restore_allocs: u64,
 }
 
 /// Hyperperiod macro-stepping (tail fast-forward) on the forked path:
@@ -436,11 +434,11 @@ fn measure_trial_allocs(blueprint: &NodeBlueprint, spec: &TrialSpec, horizon: In
     best
 }
 
-/// Measures the delta-snapshot machinery on a standalone node (not the
+/// Measures the snapshot machinery on a standalone node (not the
 /// campaign thread pool's slot, which the headline runs must keep
-/// undisturbed): warm capture cost and allocations, then the delta
-/// restore after a clean tail run from the fork instant to the horizon —
-/// the checkpoint pattern of the forked campaign path.
+/// undisturbed): warm capture cost and allocations, then the restore
+/// cost and allocations after a clean tail run from the fork instant to
+/// the horizon — the checkpoint pattern of the forked campaign path.
 fn measure_snapshot_probe(blueprint: &NodeBlueprint) -> SnapshotProbe {
     let fork = Instant::from_millis(300);
     let mut node = CentralNode::build_from_blueprint(blueprint);
@@ -458,22 +456,23 @@ fn measure_snapshot_probe(blueprint: &NodeBlueprint) -> SnapshotProbe {
     let capture_ns = best_of(SETUP_REPS, || {
         node.snapshot_into(&mut snap);
     });
-    // The restore is timed against a freshly dirtied clean tail each
-    // pass; the dirty set is deterministic, so the stats of any pass
-    // describe them all.
-    let mut stats = RestoreStats::default();
+    // Each pass restores over a freshly run clean tail; the first pass
+    // warms the node's buffers, so the minimum is the warm figure.
     let mut restore_ns = f64::INFINITY;
+    let mut restore_allocs = u64::MAX;
     for _ in 0..SETUP_REPS {
         node.run_span(HORIZON);
+        let before = allocations();
         let start = std::time::Instant::now();
-        stats = node.restore_from(&snap);
+        node.restore_from(&snap);
         restore_ns = restore_ns.min(start.elapsed().as_nanos() as f64);
+        restore_allocs = restore_allocs.min(allocations() - before);
     }
     SnapshotProbe {
         capture_ns,
         restore_ns,
-        restore_dirty_fraction: stats.dirty_fraction(),
         snapshot_allocs,
+        restore_allocs,
     }
 }
 
@@ -517,8 +516,8 @@ fn validate_emitted_json(path: &str) {
     for key in [
         "capture_ns",
         "restore_ns",
-        "restore_dirty_fraction",
         "snapshot_allocs",
+        "restore_allocs",
     ] {
         assert!(
             snapshot.iter().any(|(k, _)| k == key),
@@ -613,17 +612,17 @@ fn main() {
          (record, freeze frame, action) crept back in"
     );
 
-    // Delta-snapshot probe: the checkpoint machinery the forked path is
-    // built on, measured in isolation. Both gates hold at every size —
-    // they are structural, not timing.
+    // Snapshot probe: the checkpoint machinery the forked path is built
+    // on, measured in isolation. Both gates hold at every size — they
+    // are structural, not timing.
     let snapshot = measure_snapshot_probe(&probe_blueprint);
     println!(
-        "snapshot probe: capture {:.0} ns ({} allocs), clean-tail delta \
-         restore {:.0} ns, dirty fraction {:.3}",
+        "snapshot probe: capture {:.0} ns ({} allocs), clean-tail \
+         restore {:.0} ns ({} allocs)",
         snapshot.capture_ns,
         snapshot.snapshot_allocs,
         snapshot.restore_ns,
-        snapshot.restore_dirty_fraction,
+        snapshot.restore_allocs,
     );
     assert!(
         snapshot.snapshot_allocs <= SNAPSHOT_ALLOC_FLOOR,
@@ -633,11 +632,11 @@ fn main() {
         snapshot.snapshot_allocs
     );
     assert!(
-        snapshot.restore_dirty_fraction < 1.0,
-        "clean-tail restore copied every region (dirty fraction {:.3}) — \
-         the epoch stamps have stopped pruning and delta restore has \
-         regressed to a full copy",
-        snapshot.restore_dirty_fraction
+        snapshot.restore_allocs <= SNAPSHOT_ALLOC_FLOOR,
+        "warmed clean-tail restore allocated {} heap blocks (floor \
+         {SNAPSHOT_ALLOC_FLOOR}) — a component has stopped restoring into \
+         its retained buffers",
+        snapshot.restore_allocs
     );
 
     // Fresh first so the later paths cannot inherit any warmed-up state
@@ -836,7 +835,7 @@ fn main() {
     }
 
     let report = Report {
-        schema_version: 5,
+        schema_version: 6,
         trials,
         workers: workers as u64,
         simulated_ms_per_trial,

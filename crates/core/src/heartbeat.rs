@@ -14,25 +14,10 @@ use crate::report::{DetectedFault, FaultKind, RunnableCounters};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_rte::runnable::RunnableId;
 use easis_sim::cpu::CostMeter;
-use easis_sim::snap::{
-    apply_counter_advance, derive_counter_advance, next_snapshot_id, RestoreStats,
-};
+use easis_sim::snap::{apply_counter_advance, derive_counter_advance};
 use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-// Dirty-tracking regions of the monitor: one stamp per SoA column plus one
-// for the configuration (interner + hypotheses). See `easis_sim::snap` for
-// the epoch/lineage protocol.
-const COL_CONFIG: usize = 0;
-const COL_AC: usize = 1;
-const COL_ARC: usize = 2;
-const COL_CCA: usize = 3;
-const COL_CCAR: usize = 4;
-const COL_ACTIVE: usize = 5;
-const COL_ALIVE_ERR: usize = 6;
-const COL_RATE_ERR: usize = 7;
-const COLS: usize = 8;
 
 /// Abstract CPU cost (cycles) of one heartbeat indication: AS check plus
 /// two counter increments.
@@ -63,13 +48,9 @@ pub struct HeartbeatMonitor {
     aliveness_errors: Vec<u32>,
     arrival_rate_errors: Vec<u32>,
     obs: ObsSink,
-    /// Last-write epoch per region (see the `COL_*` constants).
-    stamps: [u64; COLS],
-    epoch: u64,
-    derived_from: u64,
 }
 
-/// Plain-data image of a [`HeartbeatMonitor`] for delta restores. Excludes
+/// Plain-data image of a [`HeartbeatMonitor`] for restores. Excludes
 /// the observability sink (scenarios re-attach their own), so node-level
 /// snapshots embedding it can be shared across campaign workers.
 #[derive(Debug, Clone, Default)]
@@ -83,17 +64,13 @@ pub struct HeartbeatSnapshot {
     active: Vec<bool>,
     aliveness_errors: Vec<u32>,
     arrival_rate_errors: Vec<u32>,
-    stamps: [u64; COLS],
-    epoch: u64,
-    id: u64,
 }
 
 impl HeartbeatSnapshot {
     /// Derives the per-hyperperiod advance of the error counters between
-    /// two images one hyperperiod apart, ignoring lineage bookkeeping
-    /// (stamps, epoch, id). Every other column — the window counters, the
-    /// activation statuses, the hypotheses — must be exactly equal: a
-    /// steady state brings them back to the same phase. The aliveness and
+    /// two images one hyperperiod apart. Every other column — the window
+    /// counters, the activation statuses, the hypotheses — must be exactly
+    /// equal: a steady state brings them back to the same phase. The aliveness and
     /// arrival-rate error counters may advance, per slot by a fixed
     /// amount under a persistent fault; they feed no later decision of
     /// the unit, so the closed form just adds the advance.
@@ -134,9 +111,6 @@ impl HeartbeatMonitor {
             aliveness_errors: vec![0; by_id.len()],
             arrival_rate_errors: vec![0; by_id.len()],
             obs: ObsSink::disabled(),
-            stamps: [0; COLS],
-            epoch: 0,
-            derived_from: 0,
         };
         for (_, h) in by_id {
             monitor.active.push(h.initially_active);
@@ -163,10 +137,6 @@ impl HeartbeatMonitor {
         for slot in 0..self.hypotheses.len() {
             self.active[slot] = self.hypotheses[slot].initially_active;
         }
-        // Every region is dirty relative to any earlier snapshot, and the
-        // lineage is severed so a later restore takes the full path.
-        self.stamps = [self.epoch; COLS];
-        self.derived_from = 0;
     }
 
     /// Records one aliveness indication at `now`. Unmonitored runnables
@@ -181,8 +151,6 @@ impl HeartbeatMonitor {
             if self.active[slot] {
                 self.ac[slot] = self.ac[slot].saturating_add(1);
                 self.arc[slot] = self.arc[slot].saturating_add(1);
-                self.stamps[COL_AC] = self.epoch;
-                self.stamps[COL_ARC] = self.epoch;
                 self.obs.record(now, ObsEvent::HeartbeatRecorded { runnable });
             }
         }
@@ -213,11 +181,9 @@ impl HeartbeatMonitor {
             costs.charge(CHECK_COST_CYCLES);
             if let Some(spec) = self.hypotheses[slot].aliveness {
                 self.cca[slot] += 1;
-                self.stamps[COL_CCA] = self.epoch;
                 if self.cca[slot] >= spec.cycles {
                     if self.ac[slot] < spec.min_indications {
                         self.aliveness_errors[slot] += 1;
-                        self.stamps[COL_ALIVE_ERR] = self.epoch;
                         self.obs.record(
                             now,
                             ObsEvent::FaultDetected {
@@ -233,16 +199,13 @@ impl HeartbeatMonitor {
                     }
                     self.ac[slot] = 0;
                     self.cca[slot] = 0;
-                    self.stamps[COL_AC] = self.epoch;
                 }
             }
             if let Some(spec) = self.hypotheses[slot].arrival_rate {
                 self.ccar[slot] += 1;
-                self.stamps[COL_CCAR] = self.epoch;
                 if self.ccar[slot] >= spec.cycles {
                     if self.arc[slot] > spec.max_indications {
                         self.arrival_rate_errors[slot] += 1;
-                        self.stamps[COL_RATE_ERR] = self.epoch;
                         self.obs.record(
                             now,
                             ObsEvent::FaultDetected {
@@ -258,7 +221,6 @@ impl HeartbeatMonitor {
                     }
                     self.arc[slot] = 0;
                     self.ccar[slot] = 0;
-                    self.stamps[COL_ARC] = self.epoch;
                 }
             }
         }
@@ -278,11 +240,6 @@ impl HeartbeatMonitor {
                 self.arc[slot] = 0;
                 self.cca[slot] = 0;
                 self.ccar[slot] = 0;
-                self.stamps[COL_CONFIG] = self.epoch;
-                self.stamps[COL_AC] = self.epoch;
-                self.stamps[COL_ARC] = self.epoch;
-                self.stamps[COL_CCA] = self.epoch;
-                self.stamps[COL_CCAR] = self.epoch;
             }
             None => {
                 let slot = self.index.insert(runnable.0) as usize;
@@ -294,8 +251,6 @@ impl HeartbeatMonitor {
                 self.ccar.insert(slot, 0);
                 self.aliveness_errors.insert(slot, 0);
                 self.arrival_rate_errors.insert(slot, 0);
-                // Inserting shifts every later slot: all columns move.
-                self.stamps = [self.epoch; COLS];
             }
         }
     }
@@ -308,16 +263,11 @@ impl HeartbeatMonitor {
             Some(slot) => {
                 let slot = slot as usize;
                 self.active[slot] = active;
-                self.stamps[COL_ACTIVE] = self.epoch;
                 if !active {
                     self.ac[slot] = 0;
                     self.arc[slot] = 0;
                     self.cca[slot] = 0;
                     self.ccar[slot] = 0;
-                    self.stamps[COL_AC] = self.epoch;
-                    self.stamps[COL_ARC] = self.epoch;
-                    self.stamps[COL_CCA] = self.epoch;
-                    self.stamps[COL_CCAR] = self.epoch;
                 }
                 true
             }
@@ -361,29 +311,20 @@ impl HeartbeatMonitor {
     }
 
     /// Applies `k` hyperperiods of a certified error-counter advance (see
-    /// [`HeartbeatSnapshot::derive_error_advance`]) and stamps the moved
-    /// columns dirty for the delta-restore protocol.
+    /// [`HeartbeatSnapshot::derive_error_advance`]).
     pub fn apply_error_advance(
         &mut self,
         aliveness: &[(u32, u32)],
         arrival_rate: &[(u32, u32)],
         k: u64,
     ) {
-        if !aliveness.is_empty() {
-            apply_counter_advance(&mut self.aliveness_errors, aliveness, k);
-            self.stamps[COL_ALIVE_ERR] = self.epoch;
-        }
-        if !arrival_rate.is_empty() {
-            apply_counter_advance(&mut self.arrival_rate_errors, arrival_rate, k);
-            self.stamps[COL_RATE_ERR] = self.epoch;
-        }
+        apply_counter_advance(&mut self.aliveness_errors, aliveness, k);
+        apply_counter_advance(&mut self.arrival_rate_errors, arrival_rate, k);
     }
 
     /// Captures the monitor into `snap`, retaining the snapshot's existing
-    /// buffer capacity (allocation-free once warm). Follows the
-    /// `easis_sim::snap` protocol: the capture records the lineage so a
-    /// later [`HeartbeatMonitor::restore_from`] can skip clean columns.
-    pub fn snapshot_into(&mut self, snap: &mut HeartbeatSnapshot) {
+    /// buffer capacity (allocation-free once warm).
+    pub fn snapshot_into(&self, snap: &mut HeartbeatSnapshot) {
         snap.index.clone_from(&self.index);
         snap.hypotheses.clone_from(&self.hypotheses);
         snap.ac.clone_from(&self.ac);
@@ -393,67 +334,20 @@ impl HeartbeatMonitor {
         snap.active.clone_from(&self.active);
         snap.aliveness_errors.clone_from(&self.aliveness_errors);
         snap.arrival_rate_errors.clone_from(&self.arrival_rate_errors);
-        snap.stamps = self.stamps;
-        snap.epoch = self.epoch;
-        snap.id = next_snapshot_id();
-        self.derived_from = snap.id;
-        self.epoch += 1;
     }
 
-    /// Captures the monitor into `snap` without participating in the
-    /// delta-restore lineage: the monitor's own epoch and `derived_from`
-    /// are untouched and the image carries `id == 0`, so an interleaved
-    /// capture (the macro-stepping engine samples between checkpoint and
-    /// restore) cannot degrade a later restore to the full-copy path.
-    pub fn image_into(&self, snap: &mut HeartbeatSnapshot) {
-        snap.index.clone_from(&self.index);
-        snap.hypotheses.clone_from(&self.hypotheses);
-        snap.ac.clone_from(&self.ac);
-        snap.arc.clone_from(&self.arc);
-        snap.cca.clone_from(&self.cca);
-        snap.ccar.clone_from(&self.ccar);
-        snap.active.clone_from(&self.active);
-        snap.aliveness_errors.clone_from(&self.aliveness_errors);
-        snap.arrival_rate_errors.clone_from(&self.arrival_rate_errors);
-        snap.stamps = self.stamps;
-        snap.epoch = self.epoch;
-        snap.id = 0;
-    }
-
-    /// Restores the monitor from `snap`, copying only the columns written
-    /// since the capture when the lineage allows it (O(dirty)).
-    pub fn restore_from(&mut self, snap: &HeartbeatSnapshot) -> RestoreStats {
-        let full = self.derived_from != snap.id || self.index.len() != snap.index.len();
-        let mut stats = RestoreStats::default();
-        macro_rules! col {
-            ($field:ident, $col:expr) => {{
-                let copy = full || self.stamps[$col] > snap.epoch;
-                stats.region(copy);
-                if copy {
-                    self.$field.clone_from(&snap.$field);
-                    self.stamps[$col] = snap.stamps[$col];
-                }
-            }};
-        }
-        {
-            let copy = full || self.stamps[COL_CONFIG] > snap.epoch;
-            stats.region(copy);
-            if copy {
-                self.index.clone_from(&snap.index);
-                self.hypotheses.clone_from(&snap.hypotheses);
-                self.stamps[COL_CONFIG] = snap.stamps[COL_CONFIG];
-            }
-        }
-        col!(ac, COL_AC);
-        col!(arc, COL_ARC);
-        col!(cca, COL_CCA);
-        col!(ccar, COL_CCAR);
-        col!(active, COL_ACTIVE);
-        col!(aliveness_errors, COL_ALIVE_ERR);
-        col!(arrival_rate_errors, COL_RATE_ERR);
-        self.derived_from = snap.id;
-        self.epoch = self.epoch.max(snap.epoch) + 1;
-        stats
+    /// Restores the monitor from `snap`, retaining this monitor's buffer
+    /// capacity. The observability sink is left attached.
+    pub fn restore_from(&mut self, snap: &HeartbeatSnapshot) {
+        self.index.clone_from(&snap.index);
+        self.hypotheses.clone_from(&snap.hypotheses);
+        self.ac.clone_from(&snap.ac);
+        self.arc.clone_from(&snap.arc);
+        self.cca.clone_from(&snap.cca);
+        self.ccar.clone_from(&snap.ccar);
+        self.active.clone_from(&snap.active);
+        self.aliveness_errors.clone_from(&snap.aliveness_errors);
+        self.arrival_rate_errors.clone_from(&snap.arrival_rate_errors);
     }
 }
 
@@ -726,7 +620,7 @@ mod activation_tests {
     }
 
     #[test]
-    fn snapshot_delta_restore_skips_clean_columns() {
+    fn snapshot_restore_rewinds_counters_written_after_capture() {
         let mut m = HeartbeatMonitor::new([RunnableHypothesis::new(r(0)).alive_at_least(1, 4)]);
         let mut costs = CostMeter::new();
         m.record(r(0), t(0), &mut costs);
@@ -735,16 +629,12 @@ mod activation_tests {
         // Only the heartbeat counters are written after the capture.
         m.record(r(0), t(1), &mut costs);
         assert_eq!(m.counters(r(0)).unwrap().ac, 2);
-        let stats = m.restore_from(&snap);
-        assert!(
-            stats.regions_copied < stats.regions_total,
-            "clean columns (config, cca, errors …) must be skipped: {stats:?}"
-        );
+        m.restore_from(&snap);
         assert_eq!(m.counters(r(0)).unwrap().ac, 1, "restored to capture state");
     }
 
     #[test]
-    fn snapshot_restore_after_reset_takes_full_path() {
+    fn snapshot_restore_after_reset_recovers_captured_state() {
         let mut m = HeartbeatMonitor::new([RunnableHypothesis::new(r(0)).alive_at_least(1, 4)]);
         let mut costs = CostMeter::new();
         m.record(r(0), t(0), &mut costs);
@@ -753,11 +643,7 @@ mod activation_tests {
         m.snapshot_into(&mut snap);
         m.reset();
         assert!(m.is_active(r(0)), "reset re-arms from the hypothesis");
-        let stats = m.restore_from(&snap);
-        assert_eq!(
-            stats.regions_copied, stats.regions_total,
-            "severed lineage must force a full copy"
-        );
+        m.restore_from(&snap);
         assert!(!m.is_active(r(0)), "restored to the captured AS");
     }
 

@@ -368,8 +368,7 @@ impl ProgramFlowChecker {
 
     /// Captures the mutable state into `snap`, retaining its buffer
     /// capacity. The tables are static after construction and are *not*
-    /// captured — the owning service's per-unit stamps decide when a
-    /// restore copies this image back.
+    /// captured.
     pub fn snapshot_into(&self, snap: &mut PfcSnapshot) {
         snap.last_slot = self.last_slot;
         snap.errors_detected = self.errors_detected;

@@ -326,8 +326,7 @@ impl TaskStateIndication {
 
     /// Captures the error vectors and verdicts into `snap`, retaining its
     /// buffer capacity. The mapping and thresholds are construction-time
-    /// configuration and are not captured; the owning service's stamp
-    /// decides when a restore has to copy this image back.
+    /// configuration and are not captured.
     pub fn snapshot_into(&self, snap: &mut TsiSnapshot) {
         snap.vectors.truncate(self.vectors.len());
         let mut live = self.vectors.iter();

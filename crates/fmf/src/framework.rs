@@ -11,7 +11,7 @@ use crate::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use crate::record::{FaultRecord, Severity, SeverityMap};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_rte::mapping::ApplicationId;
-use easis_sim::snap::{next_snapshot_id, replay_tail, tail_repeats, RestoreStats};
+use easis_sim::snap::{replay_tail, tail_repeats};
 use easis_sim::time::{Duration, Instant};
 use easis_watchdog::report::{DetectedFault, FaultKind, StateChange};
 use std::collections::BTreeMap;
@@ -36,15 +36,6 @@ pub struct FaultManagementFramework {
     /// nothing. Deliberately kept across [`reset`](Self::reset): a pooled
     /// world treats the same applications trial after trial.
     app_reasons: BTreeMap<ApplicationId, Arc<str>>,
-    /// Last-write epochs of the delta-restore regions (see
-    /// `easis_sim::snap`): fault log, DTC memory, action queue, and the
-    /// restart budgets (`app_restarts` + `terminated_apps` move together).
-    log_stamp: u64,
-    dtc_stamp: u64,
-    actions_stamp: u64,
-    budgets_stamp: u64,
-    epoch: u64,
-    derived_from: u64,
 }
 
 impl FaultManagementFramework {
@@ -61,12 +52,6 @@ impl FaultManagementFramework {
             ecu_resets: 0,
             obs: ObsSink::disabled(),
             app_reasons: BTreeMap::new(),
-            log_stamp: 0,
-            dtc_stamp: 0,
-            actions_stamp: 0,
-            budgets_stamp: 0,
-            epoch: 0,
-            derived_from: 0,
         }
     }
 
@@ -95,20 +80,13 @@ impl FaultManagementFramework {
             fault,
             severity: self.severity_map.classify(fault.kind),
         });
-        self.log_stamp = self.epoch;
         self.dtc.record_ref(fault, freeze_frame);
-        self.dtc_stamp = self.epoch;
     }
 
     /// Marks one healthy operating cycle for DTC aging (call it e.g. once
     /// per watchdog cycle without detections).
     pub fn healthy_cycle(&mut self) {
-        // An empty memory has nothing to age: the common clean-trial call
-        // must not dirty the DTC region.
-        if !self.dtc.is_empty() {
-            self.dtc.healthy_cycle();
-            self.dtc_stamp = self.epoch;
-        }
+        self.dtc.healthy_cycle();
     }
 
     /// Read access to the DTC fault memory.
@@ -120,23 +98,13 @@ impl FaultManagementFramework {
     /// closed form (see [`FmfSnapshot::derive_cycle_delta`]): the DTC
     /// memory moves by its [`DtcCycleDelta`] and the fault log replays its
     /// last hyperperiod's records `k` times, each copy one hyperperiod
-    /// `h` later. Moved regions are stamped dirty for the delta-restore
-    /// protocol.
+    /// `h` later.
     pub fn apply_cycle_delta(&mut self, delta: &FmfCycleDelta, h: Duration, k: u64) {
-        if k == 0 {
-            return;
-        }
-        if delta.dtc != DtcCycleDelta::default() {
-            self.dtc.apply_cycle_delta(&delta.dtc, h, k);
-            self.dtc_stamp = self.epoch;
-        }
-        if delta.log_records > 0 {
-            replay_tail(&mut self.log, delta.log_records, k, |mut record, j| {
-                record.fault.at += h * j;
-                record
-            });
-            self.log_stamp = self.epoch;
-        }
+        self.dtc.apply_cycle_delta(&delta.dtc, h, k);
+        replay_tail(&mut self.log, delta.log_records, k, |mut record, j| {
+            record.fault.at += h * j;
+            record
+        });
     }
 
     /// Whether the fault log's last two blocks of `records` entries are
@@ -169,10 +137,7 @@ impl FaultManagementFramework {
     }
 
     /// Mutable access to the DTC fault memory (tester clear operations).
-    /// Conservatively stamps the DTC region dirty — the borrow can write
-    /// anything.
     pub fn dtc_mut(&mut self) -> &mut DtcStore {
-        self.dtc_stamp = self.epoch;
         &mut self.dtc
     }
 
@@ -196,11 +161,9 @@ impl FaultManagementFramework {
                 match treatment {
                     Treatment::RestartApplication(_) => {
                         *self.app_restarts.entry(app).or_insert(0) += 1;
-                        self.budgets_stamp = self.epoch;
                     }
                     Treatment::TerminateApplication(_) => {
                         self.terminated_apps.push(app);
-                        self.budgets_stamp = self.epoch;
                     }
                     _ => {}
                 }
@@ -255,14 +218,10 @@ impl FaultManagementFramework {
             treatment,
             reason,
         });
-        self.actions_stamp = self.epoch;
     }
 
     /// Drains the queued treatment actions for execution.
     pub fn take_actions(&mut self) -> Vec<TreatmentAction> {
-        if !self.actions.is_empty() {
-            self.actions_stamp = self.epoch;
-        }
         std::mem::take(&mut self.actions)
     }
 
@@ -271,9 +230,6 @@ impl FaultManagementFramework {
     /// [`FaultManagementFramework::take_actions`] for the campaign hot
     /// path.
     pub fn drain_actions_into(&mut self, out: &mut Vec<TreatmentAction>) {
-        if !self.actions.is_empty() {
-            self.actions_stamp = self.epoch;
-        }
         out.append(&mut self.actions);
     }
 
@@ -317,7 +273,6 @@ impl FaultManagementFramework {
     pub fn reset_budgets(&mut self) {
         self.app_restarts.clear();
         self.terminated_apps.clear();
-        self.budgets_stamp = self.epoch;
     }
 
     /// Full reset to the just-built state — log, DTC memory, queued
@@ -332,13 +287,6 @@ impl FaultManagementFramework {
         self.app_restarts.clear();
         self.terminated_apps.clear();
         self.ecu_resets = 0;
-        // Every region is dirty relative to any earlier snapshot, and the
-        // lineage is severed so a later restore takes the full path.
-        self.log_stamp = self.epoch;
-        self.dtc_stamp = self.epoch;
-        self.actions_stamp = self.epoch;
-        self.budgets_stamp = self.epoch;
-        self.derived_from = 0;
     }
 
     /// Captures the framework's runtime state — fault log, DTC memory,
@@ -348,7 +296,7 @@ impl FaultManagementFramework {
     /// only allocation identity, never rendered content) and stay out.
     /// Convenience wrapper over
     /// [`FaultManagementFramework::snapshot_into`].
-    pub fn snapshot(&mut self) -> FmfSnapshot {
+    pub fn snapshot(&self) -> FmfSnapshot {
         let mut snap = FmfSnapshot::default();
         self.snapshot_into(&mut snap);
         snap
@@ -356,102 +304,44 @@ impl FaultManagementFramework {
 
     /// Captures runtime state into `snap`, retaining the snapshot's buffer
     /// capacity (allocation-free once warm; the DTC image recycles its
-    /// record bodies in place). Follows the `easis_sim::snap` protocol:
-    /// the capture records the lineage so a later
-    /// [`FaultManagementFramework::restore_from`] only copies the regions
-    /// written since.
-    pub fn snapshot_into(&mut self, snap: &mut FmfSnapshot) {
-        snap.log.clear();
+    /// record bodies in place).
+    pub fn snapshot_into(&self, snap: &mut FmfSnapshot) {
+        self.image_into(snap);
         snap.log.extend_from_slice(&self.log);
-        snap.log_len = self.log.len();
-        snap.log_stamp = self.log_stamp;
-        self.dtc.snapshot_into(&mut snap.dtc);
-        snap.dtc_stamp = self.dtc_stamp;
-        snap.actions.clone_from(&self.actions);
-        snap.actions_stamp = self.actions_stamp;
-        snap.app_restarts.clear();
-        snap.app_restarts
-            .extend(self.app_restarts.iter().map(|(&app, &n)| (app, n)));
-        snap.terminated_apps.clear();
-        snap.terminated_apps.extend_from_slice(&self.terminated_apps);
-        snap.budgets_stamp = self.budgets_stamp;
-        snap.ecu_resets = self.ecu_resets;
-        snap.epoch = self.epoch;
-        snap.id = next_snapshot_id();
-        self.derived_from = snap.id;
-        self.epoch += 1;
     }
 
-    /// Captures runtime state into `snap` without participating in the
-    /// delta-restore lineage: the framework's epoch and `derived_from` are
-    /// untouched and the image carries `id == 0`, so a capture interleaved
-    /// between a campaign checkpoint and its restore (the macro-stepping
-    /// engine samples mid-span) cannot degrade the restore to the
-    /// full-copy path. The append-only fault log is imaged as its length
-    /// only — the engine reads appended records from the live log tail
-    /// ([`FaultManagementFramework::log_tail_repeats`]) — so an image is
-    /// for [`FmfSnapshot::derive_cycle_delta`], not for restoring.
+    /// [`FaultManagementFramework::snapshot_into`] without the fault log:
+    /// the image records only the log's length. This is the macro-stepping
+    /// engine's hyperperiod sample. Under a persistent fault in an armed
+    /// window the log grows every hyperperiod, so copying it into every
+    /// sample would cost O(log) per certification; the engine instead
+    /// checks the appended records on the live log tail
+    /// ([`FaultManagementFramework::log_tail_repeats`]). An image is
+    /// therefore for [`FmfSnapshot::derive_cycle_delta`], not for
+    /// restoring.
     pub fn image_into(&self, snap: &mut FmfSnapshot) {
         snap.log.clear();
         snap.log_len = self.log.len();
-        snap.log_stamp = self.log_stamp;
         self.dtc.snapshot_into(&mut snap.dtc);
-        snap.dtc_stamp = self.dtc_stamp;
         snap.actions.clone_from(&self.actions);
-        snap.actions_stamp = self.actions_stamp;
         snap.app_restarts.clear();
         snap.app_restarts
             .extend(self.app_restarts.iter().map(|(&app, &n)| (app, n)));
-        snap.terminated_apps.clear();
-        snap.terminated_apps.extend_from_slice(&self.terminated_apps);
-        snap.budgets_stamp = self.budgets_stamp;
+        snap.terminated_apps.clone_from(&self.terminated_apps);
         snap.ecu_resets = self.ecu_resets;
-        snap.epoch = self.epoch;
-        snap.id = 0;
     }
 
     /// Restores runtime state captured by
-    /// [`FaultManagementFramework::snapshot`], copying only the regions
-    /// written since the capture when the lineage allows it (O(dirty)).
-    pub fn restore_from(&mut self, snap: &FmfSnapshot) -> RestoreStats {
-        let mut stats = RestoreStats::default();
-        let full = self.derived_from != snap.id;
-        let copy = full || self.log_stamp > snap.epoch;
-        stats.region(copy);
-        if copy {
-            self.log.clear();
-            self.log.extend_from_slice(&snap.log);
-            self.log_stamp = snap.log_stamp;
-        }
-        let copy = full || self.dtc_stamp > snap.epoch;
-        stats.region(copy);
-        if copy {
-            self.dtc.restore_from(&snap.dtc);
-            self.dtc_stamp = snap.dtc_stamp;
-        }
-        let copy = full || self.actions_stamp > snap.epoch;
-        stats.region(copy);
-        if copy {
-            self.actions.clone_from(&snap.actions);
-            self.actions_stamp = snap.actions_stamp;
-        }
-        let copy = full || self.budgets_stamp > snap.epoch;
-        stats.region(copy);
-        if copy {
-            self.app_restarts.clear();
-            self.app_restarts
-                .extend(snap.app_restarts.iter().copied());
-            self.terminated_apps.clear();
-            self.terminated_apps
-                .extend_from_slice(&snap.terminated_apps);
-            self.budgets_stamp = snap.budgets_stamp;
-        }
-        // Header region, always copied (one scalar).
-        stats.region(true);
+    /// [`FaultManagementFramework::snapshot`], retaining buffer capacity.
+    pub fn restore_from(&mut self, snap: &FmfSnapshot) {
+        self.log.clone_from(&snap.log);
+        self.dtc.restore_from(&snap.dtc);
+        self.actions.clone_from(&snap.actions);
+        self.app_restarts.clear();
+        self.app_restarts
+            .extend(snap.app_restarts.iter().copied());
+        self.terminated_apps.clone_from(&snap.terminated_apps);
         self.ecu_resets = snap.ecu_resets;
-        self.derived_from = snap.id;
-        self.epoch = self.epoch.max(snap.epoch) + 1;
-        stats
     }
 }
 
@@ -459,35 +349,19 @@ impl FaultManagementFramework {
 /// [`FaultManagementFramework::snapshot`]. Plain data (the budget map is
 /// flattened, the DTC memory imaged as a record list), so node-level
 /// snapshots embedding it can be shared across campaign workers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FmfSnapshot {
     log: Vec<FaultRecord>,
     /// Fault-log length at capture (images carry no records).
     log_len: usize,
-    log_stamp: u64,
     dtc: DtcStoreSnapshot,
-    dtc_stamp: u64,
     actions: Vec<TreatmentAction>,
-    actions_stamp: u64,
     app_restarts: Vec<(ApplicationId, u32)>,
     terminated_apps: Vec<ApplicationId>,
-    budgets_stamp: u64,
     ecu_resets: u32,
-    epoch: u64,
-    id: u64,
 }
 
 impl FmfSnapshot {
-    /// Content equality, ignoring lineage bookkeeping (stamps, epoch, id).
-    pub fn content_eq(&self, other: &FmfSnapshot) -> bool {
-        self.log == other.log
-            && self.dtc == other.dtc
-            && self.actions == other.actions
-            && self.app_restarts == other.app_restarts
-            && self.terminated_apps == other.terminated_apps
-            && self.ecu_resets == other.ecu_resets
-    }
-
     /// Derives the closed-form per-hyperperiod framework delta between
     /// two images one hyperperiod `h` apart. The action queue, restart
     /// budgets and reset counter must sit perfectly still — any new
@@ -691,16 +565,16 @@ mod tests {
         ));
     }
 
-    /// Drives a tail after a capture, delta-restores, and asserts the
-    /// replay is observably identical — then severs the lineage with
-    /// `reset()` and asserts the full path replays identically too.
+    /// Drives a tail after a capture, restores, and asserts the replay is
+    /// observably identical — then restores again after `reset()` and
+    /// asserts the replay is identical too.
     #[test]
-    fn snapshot_delta_restore_replays_identically() {
+    fn snapshot_restore_replays_identically() {
         let drive_prefix = |fmf: &mut FaultManagementFramework| {
             fmf.ingest_fault(fault(1, FaultKind::Aliveness));
             fmf.ingest_state_change(app_faulty(5));
         };
-        // A fault-only tail: dirties the log + DTC regions but leaves the
+        // A fault-only tail: grows the log and DTC memory but leaves the
         // restart budgets (and any treatment decisions) untouched.
         let drive_tail = |fmf: &mut FaultManagementFramework| {
             fmf.ingest_fault(fault(20, FaultKind::ArrivalRate));
@@ -725,21 +599,13 @@ mod tests {
         let after_tail = observe(&fmf);
         assert_ne!(at_capture, after_tail);
 
-        let stats = fmf.restore_from(&snap);
-        assert!(
-            stats.regions_copied < stats.regions_total,
-            "lineage intact: the delta path must skip clean regions \
-             ({stats:?})"
-        );
+        fmf.restore_from(&snap);
         assert_eq!(observe(&fmf), at_capture);
         drive_tail(&mut fmf);
         assert_eq!(observe(&fmf), after_tail);
 
-        // reset() severs the lineage: the restore must take the full path
-        // and still replay identically.
         fmf.reset();
-        let stats = fmf.restore_from(&snap);
-        assert_eq!(stats.regions_copied, stats.regions_total);
+        fmf.restore_from(&snap);
         assert_eq!(observe(&fmf), at_capture);
         drive_tail(&mut fmf);
         assert_eq!(observe(&fmf), after_tail);

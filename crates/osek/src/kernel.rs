@@ -39,7 +39,6 @@ use crate::plan::{
 use crate::resource::{HeldResources, Resource};
 use crate::task::{EventMask, Priority, TaskConfig, TaskId, TaskKind, TaskState};
 use easis_sim::event::{EventQueue, EventQueueSnapshot};
-use easis_sim::snap::{next_snapshot_id, RestoreStats};
 use easis_sim::time::{Duration, Instant};
 use easis_sim::trace::TraceRecorder;
 use std::collections::VecDeque;
@@ -180,16 +179,6 @@ struct Core<W> {
     /// Priority-bitmap ready queue mirroring every `Ready` task.
     ready: ReadyQueue,
     busy: Duration,
-    /// Last-write epoch per TCB and per alarm, plus one stamp covering the
-    /// whole resource-holder table; see `easis_sim::snap` for the protocol.
-    task_stamps: Vec<u64>,
-    alarm_stamps: Vec<u64>,
-    resource_stamp: u64,
-    /// Current write stamp, bumped at every snapshot/restore boundary.
-    epoch: u64,
-    /// Id of the snapshot this state was last captured to / restored from
-    /// (0 = no lineage; restores then fall back to a full copy).
-    derived_from: u64,
 }
 
 /// The OSEK operating system model, generic over the ECU world type `W`.
@@ -257,11 +246,6 @@ impl<W> Os<W> {
                 next_front_key: -1,
                 ready: ReadyQueue::default(),
                 busy: Duration::ZERO,
-                task_stamps: Vec::new(),
-                alarm_stamps: Vec::new(),
-                resource_stamp: 0,
-                epoch: 0,
-                derived_from: 0,
             },
         }
     }
@@ -297,7 +281,6 @@ impl<W> Os<W> {
             budget_reported: false,
             ready_key: 0,
         });
-        self.core.task_stamps.push(self.core.epoch);
         self.arena.grow_to(self.core.tasks.len());
         id
     }
@@ -306,7 +289,6 @@ impl<W> Os<W> {
     pub fn add_alarm(&mut self, name: impl Into<String>, action: AlarmAction) -> AlarmId {
         let id = AlarmId(self.core.alarms.len() as u32);
         self.core.alarms.push(Alarm::new(name, action));
-        self.core.alarm_stamps.push(self.core.epoch);
         id
     }
 
@@ -314,7 +296,6 @@ impl<W> Os<W> {
     pub fn add_resource(&mut self, name: impl Into<String>, ceiling: Priority) -> ResourceId {
         let id = ResourceId(self.core.resources.len() as u32);
         self.core.resources.push(Resource::new(name, ceiling));
-        self.core.resource_stamp = self.core.epoch;
         id
     }
 
@@ -411,8 +392,6 @@ impl<W> Os<W> {
         if id.index() >= self.core.alarms.len() {
             return Err(OsError::InvalidId);
         }
-        // The caller may mutate the alarm through the returned reference.
-        self.core.alarm_stamps[id.index()] = self.core.epoch;
         Ok(&mut self.core.alarms[id.index()])
     }
 
@@ -462,7 +441,7 @@ impl<W> Os<W> {
     ///
     /// Panics if any in-flight plan holds a boxed [`Step::Effect`] closure
     /// (see [`PlanArena::snapshot`]).
-    pub fn snapshot(&mut self) -> OsSnapshot {
+    pub fn snapshot(&self) -> OsSnapshot {
         let mut snap = OsSnapshot::default();
         self.snapshot_into(&mut snap);
         snap
@@ -471,194 +450,15 @@ impl<W> Os<W> {
     /// [`Os::snapshot`] into a caller-owned buffer whose capacity is
     /// retained across captures: TCB rows are updated in place, the timer
     /// wheel, trace and arena reuse their vectors, so re-capturing into a
-    /// warm buffer is allocation-free in steady state.
-    ///
-    /// Capturing also advances the kernel's epoch and records the snapshot
-    /// as the state's lineage, enabling the O(dirty) delta path in
-    /// [`Os::restore_from`].
+    /// warm buffer is allocation-free in steady state. Capture has no
+    /// side effects, so the macro-stepping engine samples its hyperperiod
+    /// images through this same call.
     ///
     /// # Panics
     ///
     /// Panics if any in-flight plan holds a boxed [`Step::Effect`] closure
     /// (see [`PlanArena::snapshot`]).
-    pub fn snapshot_into(&mut self, snap: &mut OsSnapshot) {
-        let core = &mut self.core;
-        snap.tasks.truncate(core.tasks.len());
-        let filled = snap.tasks.len();
-        for (dst, src) in snap.tasks.iter_mut().zip(core.tasks.iter()) {
-            dst.state = src.state;
-            dst.planned = src.planned;
-            dst.current_priority = src.current_priority;
-            dst.set_events = src.set_events;
-            dst.waiting_for = src.waiting_for;
-            dst.held.clone_from(&src.held);
-            dst.issued = src.issued;
-            dst.completed = src.completed;
-            dst.exec_time = src.exec_time;
-            dst.budget_reported = src.budget_reported;
-            dst.ready_key = src.ready_key;
-        }
-        for src in core.tasks.iter().skip(filled) {
-            snap.tasks.push(TcbSnapshot {
-                state: src.state,
-                planned: src.planned,
-                current_priority: src.current_priority,
-                set_events: src.set_events,
-                waiting_for: src.waiting_for,
-                held: src.held.clone(),
-                issued: src.issued,
-                completed: src.completed,
-                exec_time: src.exec_time,
-                budget_reported: src.budget_reported,
-                ready_key: src.ready_key,
-            });
-        }
-        snap.task_stamps.clone_from(&core.task_stamps);
-        snap.alarms.clear();
-        snap.alarms.extend(core.alarms.iter().map(Alarm::runtime));
-        snap.alarm_stamps.clone_from(&core.alarm_stamps);
-        snap.resource_holders.clear();
-        snap.resource_holders
-            .extend(core.resources.iter().map(Resource::holder));
-        snap.resource_stamp = core.resource_stamp;
-        core.timers.snapshot_into(&mut snap.timers);
-        snap.now = core.now;
-        snap.running = core.running;
-        snap.trace.clone_from(&core.trace);
-        snap.started = core.started;
-        snap.next_back_key = core.next_back_key;
-        snap.next_front_key = core.next_front_key;
-        snap.ready_bits = core.ready.bits;
-        snap.ready_bands.truncate(core.ready.bands.len());
-        let filled = snap.ready_bands.len();
-        for (dst, src) in snap.ready_bands.iter_mut().zip(core.ready.bands.iter()) {
-            dst.clone_from(src);
-        }
-        snap.ready_bands
-            .extend(core.ready.bands.iter().skip(filled).cloned());
-        self.arena.snapshot_into(&mut snap.arena);
-        snap.busy = core.busy;
-        snap.epoch = core.epoch;
-        snap.id = next_snapshot_id();
-        core.derived_from = snap.id;
-        core.epoch += 1;
-    }
-
-    /// Restores runtime state captured by [`Os::snapshot`], after which the
-    /// OS replays exactly like the snapshotted one.
-    ///
-    /// When the kernel's state is still *derived from* exactly this
-    /// snapshot (captured from it, or restored from it, with no reset in
-    /// between), any TCB or alarm whose last-write stamp is at most the
-    /// snapshot's epoch provably never changed since capture and is
-    /// skipped — restore cost is O(dirty regions). Otherwise every region
-    /// is copied. Buffers (timer wheel slots, ready bands, arena plan
-    /// slots) are restored in place with their capacity retained, so a
-    /// restore on the campaign hot path is allocation-free once buffers
-    /// have reached steady-state size.
-    ///
-    /// The snapshot must come from an identically configured OS (same
-    /// task/alarm/resource tables) — normally the same instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table sizes disagree with the snapshot.
-    pub fn restore_from(&mut self, snap: &OsSnapshot) -> RestoreStats {
-        assert_eq!(
-            self.core.tasks.len(),
-            snap.tasks.len(),
-            "snapshot belongs to an OS with a different task table"
-        );
-        assert_eq!(self.core.alarms.len(), snap.alarms.len());
-        assert_eq!(self.core.resources.len(), snap.resource_holders.len());
-        let mut stats = RestoreStats::default();
-        let core = &mut self.core;
-        let full = core.derived_from != snap.id;
-        for i in 0..core.tasks.len() {
-            let copy = full || core.task_stamps[i] > snap.epoch;
-            stats.region(copy);
-            if copy {
-                let tcb = &mut core.tasks[i];
-                let s = &snap.tasks[i];
-                tcb.state = s.state;
-                tcb.planned = s.planned;
-                tcb.current_priority = s.current_priority;
-                tcb.set_events = s.set_events;
-                tcb.waiting_for = s.waiting_for;
-                tcb.held.clone_from(&s.held);
-                tcb.issued = s.issued;
-                tcb.completed = s.completed;
-                tcb.exec_time = s.exec_time;
-                tcb.budget_reported = s.budget_reported;
-                tcb.ready_key = s.ready_key;
-                core.task_stamps[i] = snap.task_stamps[i];
-            }
-        }
-        for i in 0..core.alarms.len() {
-            let copy = full || core.alarm_stamps[i] > snap.epoch;
-            stats.region(copy);
-            if copy {
-                core.alarms[i].restore_runtime(snap.alarms[i]);
-                core.alarm_stamps[i] = snap.alarm_stamps[i];
-            }
-        }
-        {
-            let copy = full || core.resource_stamp > snap.epoch;
-            stats.region(copy);
-            if copy {
-                for (resource, holder) in
-                    core.resources.iter_mut().zip(&snap.resource_holders)
-                {
-                    resource.release();
-                    if let Some(task) = holder {
-                        resource.occupy(*task);
-                    }
-                }
-                core.resource_stamp = snap.resource_stamp;
-            }
-        }
-        stats.absorb(core.timers.restore_from(&snap.timers));
-        // Scalars, the ready queue and the trace form one always-copied
-        // header region: they change on virtually every kernel step, so
-        // dirty-tracking them would only add bookkeeping.
-        stats.region(true);
-        core.now = snap.now;
-        core.running = snap.running;
-        core.trace.clone_from(&snap.trace);
-        core.started = snap.started;
-        core.next_back_key = snap.next_back_key;
-        core.next_front_key = snap.next_front_key;
-        core.ready.bits = snap.ready_bits;
-        let bands = &mut core.ready.bands;
-        if bands.len() < snap.ready_bands.len() {
-            bands.resize_with(snap.ready_bands.len(), VecDeque::new);
-        }
-        for (i, band) in bands.iter_mut().enumerate() {
-            match snap.ready_bands.get(i) {
-                Some(src) => band.clone_from(src),
-                None => band.clear(),
-            }
-        }
-        stats.absorb(self.arena.restore_from(&snap.arena));
-        self.core.busy = snap.busy;
-        self.core.derived_from = snap.id;
-        self.core.epoch = self.core.epoch.max(snap.epoch) + 1;
-        stats
-    }
-
-    /// Captures the same content as [`Os::snapshot_into`] but *without*
-    /// joining the restore lineage: the kernel's epoch/`derived_from`
-    /// bookkeeping is untouched and the capture gets id 0, so it can never
-    /// enable a delta restore. The macro-stepping engine samples hyperperiod
-    /// images with this — a real snapshot per sample would sever the
-    /// campaign prefix checkpoints' lineage and force their restores onto
-    /// the full-copy path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any in-flight plan holds a boxed [`Step::Effect`] closure
-    /// (see [`PlanArena::snapshot`]).
-    pub fn image_into(&self, snap: &mut OsSnapshot) {
+    pub fn snapshot_into(&self, snap: &mut OsSnapshot) {
         let core = &self.core;
         snap.tasks.truncate(core.tasks.len());
         let filled = snap.tasks.len();
@@ -690,15 +490,12 @@ impl<W> Os<W> {
                 ready_key: src.ready_key,
             });
         }
-        snap.task_stamps.clone_from(&core.task_stamps);
         snap.alarms.clear();
         snap.alarms.extend(core.alarms.iter().map(Alarm::runtime));
-        snap.alarm_stamps.clone_from(&core.alarm_stamps);
         snap.resource_holders.clear();
         snap.resource_holders
             .extend(core.resources.iter().map(Resource::holder));
-        snap.resource_stamp = core.resource_stamp;
-        core.timers.image_into(&mut snap.timers);
+        core.timers.snapshot_into(&mut snap.timers);
         snap.now = core.now;
         snap.running = core.running;
         snap.trace.clone_from(&core.trace);
@@ -713,10 +510,74 @@ impl<W> Os<W> {
         }
         snap.ready_bands
             .extend(core.ready.bands.iter().skip(filled).cloned());
-        self.arena.image_into(&mut snap.arena);
+        self.arena.snapshot_into(&mut snap.arena);
         snap.busy = core.busy;
-        snap.epoch = core.epoch;
-        snap.id = 0;
+    }
+
+    /// Restores runtime state captured by [`Os::snapshot`], after which the
+    /// OS replays exactly like the snapshotted one. Buffers (timer wheel
+    /// slots, ready bands, arena plan slots) are restored in place with
+    /// their capacity retained, so a restore on the campaign hot path is
+    /// allocation-free once buffers have reached steady-state size.
+    ///
+    /// The snapshot must come from an identically configured OS (same
+    /// task/alarm/resource tables) — the same instance or another one built
+    /// from the same configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table sizes disagree with the snapshot.
+    pub fn restore_from(&mut self, snap: &OsSnapshot) {
+        assert_eq!(
+            self.core.tasks.len(),
+            snap.tasks.len(),
+            "snapshot belongs to an OS with a different task table"
+        );
+        assert_eq!(self.core.alarms.len(), snap.alarms.len());
+        assert_eq!(self.core.resources.len(), snap.resource_holders.len());
+        let core = &mut self.core;
+        for (tcb, s) in core.tasks.iter_mut().zip(&snap.tasks) {
+            tcb.state = s.state;
+            tcb.planned = s.planned;
+            tcb.current_priority = s.current_priority;
+            tcb.set_events = s.set_events;
+            tcb.waiting_for = s.waiting_for;
+            tcb.held.clone_from(&s.held);
+            tcb.issued = s.issued;
+            tcb.completed = s.completed;
+            tcb.exec_time = s.exec_time;
+            tcb.budget_reported = s.budget_reported;
+            tcb.ready_key = s.ready_key;
+        }
+        for (alarm, runtime) in core.alarms.iter_mut().zip(&snap.alarms) {
+            alarm.restore_runtime(*runtime);
+        }
+        for (resource, holder) in core.resources.iter_mut().zip(&snap.resource_holders) {
+            resource.release();
+            if let Some(task) = holder {
+                resource.occupy(*task);
+            }
+        }
+        core.timers.restore_from(&snap.timers);
+        core.now = snap.now;
+        core.running = snap.running;
+        core.trace.clone_from(&snap.trace);
+        core.started = snap.started;
+        core.next_back_key = snap.next_back_key;
+        core.next_front_key = snap.next_front_key;
+        core.ready.bits = snap.ready_bits;
+        let bands = &mut core.ready.bands;
+        if bands.len() < snap.ready_bands.len() {
+            bands.resize_with(snap.ready_bands.len(), VecDeque::new);
+        }
+        for (i, band) in bands.iter_mut().enumerate() {
+            match snap.ready_bands.get(i) {
+                Some(src) => band.clone_from(src),
+                None => band.clear(),
+            }
+        }
+        core.busy = snap.busy;
+        self.arena.restore_from(&snap.arena);
     }
 
     /// Applies a certified [`CycleProgram`] `k` times in closed form: the
@@ -744,7 +605,6 @@ impl<W> Os<W> {
             tcb.issued += d.d_issued * k;
             tcb.completed += d.d_issued * k;
             tcb.ready_key += d.d_ready_key * k as i64;
-            core.task_stamps[i] = core.epoch;
         }
         let per_task = &program.per_task;
         core.timers
@@ -875,9 +735,6 @@ impl<W> Os<W> {
         }
         let tcb = &mut self.core.tasks[id.index()];
         tcb.state = TaskState::Running;
-        // One stamp covers every TCB write this dispatch performs (the
-        // epoch cannot change mid-call).
-        self.core.task_stamps[id.index()] = self.core.epoch;
         self.core.running = Some(id);
         let name = self.core.tasks[id.index()].config.name();
         self.core
@@ -951,7 +808,6 @@ impl<W> Os<W> {
                     }
                     tcb.waiting_for = mask;
                     tcb.state = TaskState::Waiting;
-                    self.core.task_stamps[id.index()] = self.core.epoch;
                     self.core.running = None;
                     let name = self.core.tasks[id.index()].config.name();
                     self.core
@@ -963,7 +819,6 @@ impl<W> Os<W> {
                 Step::ClearEvent(mask) => {
                     let tcb = &mut self.core.tasks[id.index()];
                     tcb.set_events = tcb.set_events.clear(mask);
-                    self.core.task_stamps[id.index()] = self.core.epoch;
                 }
                 Step::GetResource(rid) => {
                     if rid.0 as usize >= self.core.resources.len() {
@@ -979,13 +834,11 @@ impl<W> Os<W> {
                     let prior = self.core.tasks[id.index()].current_priority;
                     let ceiling = self.core.resources[rid.0 as usize].ceiling();
                     self.core.resources[rid.0 as usize].occupy(id);
-                    self.core.resource_stamp = self.core.epoch;
                     let tcb = &mut self.core.tasks[id.index()];
                     tcb.held.push(rid, prior);
                     if ceiling > tcb.current_priority {
                         tcb.current_priority = ceiling;
                     }
-                    self.core.task_stamps[id.index()] = self.core.epoch;
                 }
                 Step::ReleaseResource(rid) => {
                     if rid.0 as usize >= self.core.resources.len() {
@@ -993,11 +846,9 @@ impl<W> Os<W> {
                         continue;
                     }
                     let restored = self.core.tasks[id.index()].held.pop_matching(rid);
-                    self.core.task_stamps[id.index()] = self.core.epoch;
                     match restored {
                         Some(prior) => {
                             self.core.resources[rid.0 as usize].release();
-                            self.core.resource_stamp = self.core.epoch;
                             self.core.tasks[id.index()].current_priority = prior;
                             // Dropping priority may enable preemption.
                             if self.core.pick_next() != Some(id) {
@@ -1083,8 +934,6 @@ impl<W> Os<W> {
             {
                 let tcb = &mut self.core.tasks[id.index()];
                 tcb.exec_time += consumed;
-                // Also covers the `budget_reported` write below.
-                self.core.task_stamps[id.index()] = self.core.epoch;
             }
             // Budget exactly reached?
             let over = {
@@ -1130,7 +979,6 @@ impl<W> Os<W> {
     }
 
     fn terminate_running(&mut self, id: TaskId, world: &mut W) {
-        self.core.task_stamps[id.index()] = self.core.epoch;
         // OSEK: terminating with occupied resources is an error; release them.
         if !self.core.tasks[id.index()].held.is_empty() {
             self.core.report_error(OsError::ResourceOrder, world);
@@ -1138,7 +986,6 @@ impl<W> Os<W> {
             for rid in ids {
                 self.core.resources[rid.0 as usize].release();
             }
-            self.core.resource_stamp = self.core.epoch;
             self.core.tasks[id.index()].held.clear();
             let base = self.core.tasks[id.index()].config.priority();
             self.core.tasks[id.index()].current_priority = base;
@@ -1221,12 +1068,6 @@ impl<W> Core<W> {
         self.next_front_key = -1;
         self.ready.clear();
         self.busy = Duration::ZERO;
-        // Stamp with the *current* epoch (never zero) and sever the
-        // lineage: a restore after a reset must take the full-copy path.
-        self.task_stamps.fill(self.epoch);
-        self.alarm_stamps.fill(self.epoch);
-        self.resource_stamp = self.epoch;
-        self.derived_from = 0;
     }
 
     fn activate_task(&mut self, id: TaskId, world: &mut W) -> Result<(), OsError> {
@@ -1241,7 +1082,6 @@ impl<W> Core<W> {
         {
             let tcb = &mut self.tasks[id.index()];
             tcb.issued += 1;
-            self.task_stamps[id.index()] = self.epoch;
         }
         let seq = self.tasks[id.index()].issued;
         // Arm the deadline check for this activation.
@@ -1275,7 +1115,6 @@ impl<W> Core<W> {
         if wake {
             tcb.waiting_for = EventMask::NONE;
         }
-        self.task_stamps[id.index()] = self.epoch;
         if wake {
             self.make_ready(id, false);
             let name = self.tasks[id.index()].config.name();
@@ -1300,7 +1139,6 @@ impl<W> Core<W> {
             return Err(OsError::InvalidValue);
         }
         alarm.arm(cycle);
-        self.alarm_stamps[id.index()] = self.epoch;
         self.timers
             .schedule(self.now + offset, KernelEvent::AlarmExpiry(id));
         Ok(())
@@ -1314,7 +1152,6 @@ impl<W> Core<W> {
             return Err(OsError::AlarmNotInUse);
         }
         alarm.disarm();
-        self.alarm_stamps[id.index()] = self.epoch;
         // The pending AlarmExpiry stays queued; expiry of a disarmed alarm
         // is ignored, matching CancelAlarm semantics.
         Ok(())
@@ -1349,7 +1186,6 @@ impl<W> Core<W> {
             }
             None => {
                 self.alarms[id.index()].disarm();
-                self.alarm_stamps[id.index()] = self.epoch;
             }
         }
         match action {
@@ -1393,7 +1229,6 @@ impl<W> Core<W> {
         tcb.state = TaskState::Ready;
         tcb.ready_key = key;
         let priority = tcb.current_priority;
-        self.task_stamps[id.index()] = self.epoch;
         self.ready.push(priority, key, id, front);
     }
 
@@ -1530,11 +1365,8 @@ struct TcbSnapshot {
 /// embed it can be shared across campaign workers.
 pub struct OsSnapshot {
     tasks: Vec<TcbSnapshot>,
-    task_stamps: Vec<u64>,
     alarms: Vec<AlarmRuntime>,
-    alarm_stamps: Vec<u64>,
     resource_holders: Vec<Option<TaskId>>,
-    resource_stamp: u64,
     timers: EventQueueSnapshot<KernelEvent>,
     now: Instant,
     running: Option<TaskId>,
@@ -1546,21 +1378,14 @@ pub struct OsSnapshot {
     ready_bands: Vec<VecDeque<(i64, TaskId)>>,
     arena: PlanArenaSnapshot,
     busy: Duration,
-    /// Kernel epoch at capture; regions stamped `<=` this are clean.
-    epoch: u64,
-    /// Process-unique snapshot id anchoring the lineage check.
-    id: u64,
 }
 
 impl Default for OsSnapshot {
     fn default() -> Self {
         OsSnapshot {
             tasks: Vec::new(),
-            task_stamps: Vec::new(),
             alarms: Vec::new(),
-            alarm_stamps: Vec::new(),
             resource_holders: Vec::new(),
-            resource_stamp: 0,
             timers: EventQueueSnapshot::default(),
             now: Instant::ZERO,
             running: None,
@@ -1572,8 +1397,6 @@ impl Default for OsSnapshot {
             ready_bands: Vec::new(),
             arena: PlanArenaSnapshot::default(),
             busy: Duration::ZERO,
-            epoch: 0,
-            id: 0,
         }
     }
 }
@@ -1592,7 +1415,7 @@ impl OsSnapshot {
         self.ready_bits == [0; 4] && self.ready_bands.iter().all(VecDeque::is_empty)
     }
 
-    /// Appends a canonical, lineage-free rendering of the captured kernel
+    /// Appends a canonical rendering of the captured kernel
     /// state to `out`. Timer entries are listed in logical `(time, seq)`
     /// pop order rather than physical wheel layout — a hyperperiod
     /// macro-jump re-buckets the wheel relative to the jumped cursor, so
@@ -1676,7 +1499,7 @@ impl OsSnapshot {
             || a.tasks.len() != b.tasks.len()
             || a.alarms != b.alarms
             || a.resource_holders != b.resource_holders
-            || !a.arena.content_eq(&b.arena)
+            || a.arena != b.arena
             || b.busy < a.busy
         {
             return false;
@@ -1790,7 +1613,6 @@ impl std::fmt::Debug for OsSnapshot {
             .field("tasks", &self.tasks.len())
             .field("running", &self.running)
             .field("started", &self.started)
-            .field("epoch", &self.epoch)
             .finish()
     }
 }
@@ -2245,11 +2067,10 @@ mod tests {
     }
 
     #[test]
-    fn delta_restore_skips_clean_regions_and_replays_identically() {
+    fn restore_replays_identically_before_and_after_a_reset() {
         // Three tasks, but the post-snapshot tail only ever runs one of
-        // them: the delta restore must skip the untouched TCBs/alarms yet
-        // replay exactly like the full restore a fresh lineage forces.
-        // Bodies plan EffectRef tokens: boxed-closure plans cannot be
+        // them; restoring onto the run-on kernel and onto a reset kernel
+        // must both replay the captured tail exactly. Bodies plan EffectRef tokens: boxed-closure plans cannot be
         // snapshotted.
         struct RefBody {
             label: &'static str,
@@ -2284,29 +2105,16 @@ mod tests {
         os.run_until(Instant::from_millis(9), &mut w);
         let tail: Vec<String> = w[world_mark..].to_vec();
 
-        // Same lineage: delta path skips the two idle TCBs and the idle
-        // alarm (3 task regions + 2 alarm regions + 1 resource region
-        // examined, some skipped).
-        let stats = os.restore_from(&snap);
-        assert!(
-            stats.regions_copied < stats.regions_total,
-            "delta restore should skip clean regions: {stats:?}"
-        );
+        os.restore_from(&snap);
         let mut w2: W = w[..world_mark].to_vec();
         os.run_until(Instant::from_millis(9), &mut w2);
-        assert_eq!(&w2[world_mark..], &tail[..], "delta restore diverges");
+        assert_eq!(&w2[world_mark..], &tail[..], "restore diverges");
 
-        // A reset severs the lineage: the next restore copies everything,
-        // and still replays identically.
         os.reset();
-        let stats = os.restore_from(&snap);
-        assert_eq!(
-            stats.regions_copied, stats.regions_total,
-            "restore after reset must take the full path"
-        );
+        os.restore_from(&snap);
         let mut w3: W = w[..world_mark].to_vec();
         os.run_until(Instant::from_millis(9), &mut w3);
-        assert_eq!(&w3[world_mark..], &tail[..], "full restore diverges");
+        assert_eq!(&w3[world_mark..], &tail[..], "restore after reset diverges");
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use crate::error::OsError;
 use crate::task::{EventMask, TaskId, TaskState};
-use easis_sim::snap::{next_snapshot_id, RestoreStats};
 use easis_sim::time::{Duration, Instant};
 use easis_sim::trace::TraceRecorder;
 use std::collections::VecDeque;
@@ -294,12 +293,6 @@ impl<W> Plan<W> {
 /// re-growing the buffers.
 pub struct PlanArena<W> {
     slots: Vec<Plan<W>>,
-    /// Per-slot epoch of the last mutable access (delta-snapshot regions).
-    stamps: Vec<u64>,
-    /// Current write stamp; bumped by `snapshot_into`/`restore_from`.
-    epoch: u64,
-    /// Snapshot id this arena's state derives from (0 = none).
-    derived_from: u64,
 }
 
 impl<W> fmt::Debug for PlanArena<W> {
@@ -312,12 +305,7 @@ impl<W> fmt::Debug for PlanArena<W> {
 
 impl<W> Default for PlanArena<W> {
     fn default() -> Self {
-        PlanArena {
-            slots: Vec::new(),
-            stamps: Vec::new(),
-            epoch: 0,
-            derived_from: 0,
-        }
+        PlanArena { slots: Vec::new() }
     }
 }
 
@@ -327,13 +315,10 @@ impl<W> PlanArena<W> {
         PlanArena::default()
     }
 
-    /// Ensures at least `n` slots exist (one per task id). New slots are
-    /// stamped at the current epoch: a snapshot taken before the growth
-    /// cannot vouch for them.
+    /// Ensures at least `n` slots exist (one per task id).
     pub fn grow_to(&mut self, n: usize) {
         if self.slots.len() < n {
             self.slots.resize_with(n, Plan::new);
-            self.stamps.resize(n, self.epoch);
         }
     }
 
@@ -347,28 +332,22 @@ impl<W> PlanArena<W> {
         self.slots.is_empty()
     }
 
-    /// Mutable access to a task's slot. Stamps the slot dirty at the
-    /// current epoch — this is the arena's single mutation gateway, so the
-    /// delta-restore bookkeeping lives entirely here.
+    /// Mutable access to a task's slot.
     ///
     /// # Panics
     ///
     /// Panics if `idx` was never grown to (kernel bug).
     pub fn slot_mut(&mut self, idx: usize) -> &mut Plan<W> {
-        self.stamps[idx] = self.epoch;
         &mut self.slots[idx]
     }
 
     /// Clears every slot, retaining all allocated capacity. Part of the
     /// world-pooling contract: a reset arena replans exactly like a fresh
-    /// one, only without the allocations. Stamps every slot at the current
-    /// epoch and severs snapshot lineage (the next restore runs full).
+    /// one, only without the allocations.
     pub fn reset(&mut self) {
         for slot in &mut self.slots {
             slot.clear();
         }
-        self.stamps.fill(self.epoch);
-        self.derived_from = 0;
     }
 
     /// Sum of all slots' step capacities (observability for tests and
@@ -385,20 +364,19 @@ impl<W> PlanArena<W> {
     ///
     /// Panics if any slot holds a [`Step::Effect`] (boxed closure) — see
     /// [`Step`] docs; arena bodies plan `EffectRef` tokens, which snapshot.
-    pub fn snapshot(&mut self) -> PlanArenaSnapshot {
+    pub fn snapshot(&self) -> PlanArenaSnapshot {
         let mut snap = PlanArenaSnapshot::default();
         self.snapshot_into(&mut snap);
         snap
     }
 
     /// Captures every slot into `snap`, reusing its buffers (clear +
-    /// extend — allocation-free once the snapshot is warm), records the
-    /// arena as derived from the capture and bumps the write epoch.
+    /// extend — allocation-free once the snapshot is warm).
     ///
     /// # Panics
     ///
     /// Panics on a [`Step::Effect`] slot, as for [`PlanArena::snapshot`].
-    pub fn snapshot_into(&mut self, snap: &mut PlanArenaSnapshot) {
+    pub fn snapshot_into(&self, snap: &mut PlanArenaSnapshot) {
         snap.slots.truncate(self.slots.len());
         while snap.slots.len() < self.slots.len() {
             snap.slots.push(Vec::new());
@@ -407,85 +385,34 @@ impl<W> PlanArena<W> {
             dst.clear();
             dst.extend(src.steps.iter().map(Step::data));
         }
-        snap.stamps.clone_from(&self.stamps);
-        snap.epoch = self.epoch;
-        snap.id = next_snapshot_id();
-        self.derived_from = snap.id;
-        self.epoch += 1;
-    }
-
-    /// Captures every slot's content into `snap` *without* joining the
-    /// restore lineage (capture id 0, arena bookkeeping untouched) — the
-    /// macro-stepping engine's hyperperiod sample. A real snapshot here
-    /// would sever the campaign checkpoints' lineage and force their next
-    /// restore onto the full-copy path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`Step::Effect`] slot, as for [`PlanArena::snapshot`].
-    pub fn image_into(&self, snap: &mut PlanArenaSnapshot) {
-        snap.slots.truncate(self.slots.len());
-        while snap.slots.len() < self.slots.len() {
-            snap.slots.push(Vec::new());
-        }
-        for (dst, src) in snap.slots.iter_mut().zip(&self.slots) {
-            dst.clear();
-            dst.extend(src.steps.iter().map(Step::data));
-        }
-        snap.stamps.clone_from(&self.stamps);
-        snap.epoch = self.epoch;
-        snap.id = 0;
     }
 
     /// Restores every slot to the snapshot's steps, retaining each slot's
-    /// allocated capacity (clear + extend, no buffer replacement). When the
-    /// arena still derives from exactly this snapshot, slots untouched
-    /// since the capture are skipped — O(dirty slots). Reports per-slot
-    /// region stats.
-    pub fn restore_from(&mut self, snap: &PlanArenaSnapshot) -> RestoreStats {
-        let mut stats = RestoreStats::default();
-        let full = self.derived_from != snap.id || self.slots.len() != snap.slots.len();
+    /// allocated capacity (clear + extend, no buffer replacement).
+    pub fn restore_from(&mut self, snap: &PlanArenaSnapshot) {
         self.grow_to(snap.slots.len());
-        for i in 0..snap.slots.len() {
-            let copy = full || self.stamps[i] > snap.epoch;
-            stats.region(copy);
-            if copy {
-                let slot = &mut self.slots[i];
-                slot.steps.clear();
-                slot.steps.extend(snap.slots[i].iter().map(|d| d.to_step()));
-                self.stamps[i] = snap.stamps[i];
-            }
+        for (slot, src) in self.slots.iter_mut().zip(&snap.slots) {
+            slot.steps.clear();
+            slot.steps.extend(src.iter().map(|d| d.to_step()));
         }
-        for i in snap.slots.len()..self.slots.len() {
-            stats.region(true);
-            self.slots[i].steps.clear();
-            self.stamps[i] = self.epoch;
+        for slot in &mut self.slots[snap.slots.len()..] {
+            slot.steps.clear();
         }
-        self.derived_from = snap.id;
-        self.epoch = self.epoch.max(snap.epoch) + 1;
-        stats
     }
 }
 
 /// The remaining steps of every [`PlanArena`] slot at snapshot time
 /// (see [`PlanArena::snapshot`]). World-independent plain data, so node
 /// snapshots containing it are `Send + Sync` and shareable via `Arc`.
-#[derive(Default, Clone)]
+/// Two captures compare equal when they hold the same remaining steps in
+/// every slot — how the macro-stepping guards prove two hyperperiod
+/// samples equivalent.
+#[derive(Default, Clone, PartialEq)]
 pub struct PlanArenaSnapshot {
     slots: Vec<Vec<StepData>>,
-    stamps: Vec<u64>,
-    epoch: u64,
-    id: u64,
 }
 
 impl PlanArenaSnapshot {
-    /// `true` if both captures hold the same remaining steps in every slot,
-    /// ignoring the delta-restore bookkeeping (stamps/epoch/id). Used by the
-    /// macro-stepping guards to prove two hyperperiod samples equivalent.
-    pub fn content_eq(&self, other: &PlanArenaSnapshot) -> bool {
-        self.slots == other.slots
-    }
-
     /// The captured per-slot steps (slot index = task id).
     pub fn slots(&self) -> &[Vec<StepData>] {
         &self.slots
@@ -496,7 +423,6 @@ impl fmt::Debug for PlanArenaSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PlanArenaSnapshot")
             .field("slots", &self.slots.len())
-            .field("epoch", &self.epoch)
             .finish()
     }
 }
@@ -1126,7 +1052,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_delta_restore_skips_clean_slots_and_resets_sever_lineage() {
+    fn arena_restore_after_touch_or_reset_recovers_every_slot() {
         let mut arena: PlanArena<W> = PlanArena::new();
         arena.grow_to(4);
         for i in 0..4 {
@@ -1134,15 +1060,10 @@ mod tests {
         }
         let snap = arena.snapshot();
         arena.slot_mut(2).push_compute(Duration::from_micros(1));
-        let stats = arena.restore_from(&snap);
-        assert_eq!(stats.regions_total, 4);
-        assert_eq!(stats.regions_copied, 1, "only the touched slot copies");
+        arena.restore_from(&snap);
         assert_eq!(arena.slot_mut(2).len(), 1);
-        // reset() stamps everything and severs lineage: the snapshot can no
-        // longer vouch for any slot, so the next restore copies all four.
         arena.reset();
-        let stats = arena.restore_from(&snap);
-        assert_eq!(stats.regions_copied, 4);
+        arena.restore_from(&snap);
         for i in 0..4 {
             assert_eq!(arena.slot_mut(i).len(), 1);
         }

@@ -8,7 +8,6 @@
 //! tooling inspect everything, like ControlDesk instrumenting a Simulink
 //! model.
 
-use easis_sim::snap::{next_snapshot_id, RestoreStats};
 use easis_sim::time::Instant;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -56,11 +55,6 @@ struct Slot {
 pub struct SignalDb {
     slots: Vec<Slot>,
     by_name: BTreeMap<String, SignalId>,
-    /// Last-write epoch per signal — delta-restore bookkeeping, not part
-    /// of the observable database (see `easis_sim::snap`).
-    stamps: Vec<u64>,
-    epoch: u64,
-    derived_from: u64,
 }
 
 impl SignalDb {
@@ -81,7 +75,6 @@ impl SignalDb {
             value: initial,
             updated_at: Instant::ZERO,
         });
-        self.stamps.push(self.epoch);
         self.by_name.insert(name.to_string(), id);
         id
     }
@@ -99,11 +92,6 @@ impl SignalDb {
             slot.value = value;
             slot.updated_at = Instant::ZERO;
         }
-        // Every signal is dirty relative to any earlier snapshot, and the
-        // lineage is severed so a later restore takes the full path.
-        self.stamps.clear();
-        self.stamps.resize(self.slots.len(), self.epoch);
-        self.derived_from = 0;
     }
 
     /// Looks up a signal id by name.
@@ -134,7 +122,6 @@ impl SignalDb {
         let slot = &mut self.slots[id.index()];
         slot.value = value;
         slot.updated_at = now;
-        self.stamps[id.index()] = self.epoch;
     }
 
     /// Writes a boolean as `1.0` / `0.0`.
@@ -180,76 +167,40 @@ impl SignalDb {
 
     /// Captures every signal's `(value, updated_at)` pair into `snap`,
     /// retaining the snapshot's buffer capacity (allocation-free once
-    /// warm). Names are declaration-time constants and stay out. Follows
-    /// the `easis_sim::snap` protocol: the capture records the lineage so
-    /// a later [`SignalDb::restore_from`] only copies the signals written
-    /// since.
-    pub fn snapshot_into(&mut self, snap: &mut SignalDbSnapshot) {
+    /// warm). Names are declaration-time constants and stay out.
+    pub fn snapshot_into(&self, snap: &mut SignalDbSnapshot) {
         snap.values.clear();
         snap.values
             .extend(self.slots.iter().map(|s| (s.value, s.updated_at)));
-        snap.stamps.clone_from(&self.stamps);
-        snap.epoch = self.epoch;
-        snap.id = next_snapshot_id();
-        self.derived_from = snap.id;
-        self.epoch += 1;
     }
 
-    /// Captures every signal's `(value, updated_at)` pair into `snap`
-    /// without participating in the delta-restore lineage: the database's
-    /// epoch and `derived_from` are untouched and the image carries
-    /// `id == 0`, so a capture interleaved between a campaign checkpoint
-    /// and its restore cannot degrade the restore to the full-copy path.
-    pub fn image_into(&self, snap: &mut SignalDbSnapshot) {
-        snap.values.clear();
-        snap.values
-            .extend(self.slots.iter().map(|s| (s.value, s.updated_at)));
-        snap.stamps.clone_from(&self.stamps);
-        snap.epoch = self.epoch;
-        snap.id = 0;
-    }
-
-    /// Shifts the `updated_at` stamp of the given slots forward by `by`,
-    /// stamping each — the closed-form application of a
+    /// Shifts the `updated_at` stamp of the given slots forward by `by` —
+    /// the closed-form application of a
     /// [`SignalDbSnapshot::derive_shift`] result, `k` hyperperiods folded
     /// into one `by = h * k` shift.
     pub fn shift_updated_at(&mut self, slots: &[u32], by: easis_sim::time::Duration) {
         for &i in slots {
             let slot = &mut self.slots[i as usize];
             slot.updated_at += by;
-            self.stamps[i as usize] = self.epoch;
         }
     }
 
-    /// Restores signal values captured by [`SignalDb::snapshot_into`],
-    /// copying only the signals written since the capture when the
-    /// lineage allows it (O(dirty)).
+    /// Restores signal values captured by [`SignalDb::snapshot_into`].
     ///
     /// # Panics
     ///
     /// Panics if the snapshot was taken from a database with a different
     /// signal table (the declared set is a build-time constant).
-    pub fn restore_from(&mut self, snap: &SignalDbSnapshot) -> RestoreStats {
+    pub fn restore_from(&mut self, snap: &SignalDbSnapshot) {
         assert_eq!(
             snap.values.len(),
             self.slots.len(),
             "snapshot covers all signals"
         );
-        let mut stats = RestoreStats::default();
-        let full = self.derived_from != snap.id;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let copy = full || self.stamps[i] > snap.epoch;
-            stats.region(copy);
-            if copy {
-                let (value, updated_at) = snap.values[i];
-                slot.value = value;
-                slot.updated_at = updated_at;
-                self.stamps[i] = snap.stamps[i];
-            }
+        for (slot, &(value, updated_at)) in self.slots.iter_mut().zip(&snap.values) {
+            slot.value = value;
+            slot.updated_at = updated_at;
         }
-        self.derived_from = snap.id;
-        self.epoch = self.epoch.max(snap.epoch) + 1;
-        stats
     }
 }
 
@@ -260,9 +211,6 @@ impl SignalDb {
 #[derive(Debug, Clone, Default)]
 pub struct SignalDbSnapshot {
     values: Vec<(f64, Instant)>,
-    stamps: Vec<u64>,
-    epoch: u64,
-    id: u64,
 }
 
 impl SignalDbSnapshot {
@@ -357,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_restore_copies_only_written_signals() {
+    fn snapshot_restore_recovers_written_and_pooled_signals() {
         let mut db = SignalDb::new();
         let a = db.declare("a", 1.0);
         let b = db.declare("b", 2.0);
@@ -367,19 +315,15 @@ mod tests {
         db.snapshot_into(&mut snap);
 
         db.write(b, 99.0, Instant::from_millis(5));
-        let stats = db.restore_from(&snap);
-        assert_eq!(stats.regions_total, 3);
-        assert_eq!(stats.regions_copied, 1, "only `b` was written");
+        db.restore_from(&snap);
         assert_eq!(db.read(a), 10.0);
         assert_eq!(db.read(b), 2.0);
         assert_eq!(db.read(c), 3.0);
         assert_eq!(db.updated_at(b), Instant::ZERO);
 
-        // The pooled-world restore severs the lineage: the next restore
-        // must take the full path and still land on the snapshot exactly.
+        // After a pooled-world restore the snapshot still lands exactly.
         db.restore(&[0.0, 0.0, 0.0]);
-        let stats = db.restore_from(&snap);
-        assert_eq!(stats.regions_copied, 3);
+        db.restore_from(&snap);
         assert_eq!(db.read(a), 10.0);
         assert_eq!(db.updated_at(a), Instant::from_millis(1));
     }
@@ -392,11 +336,9 @@ mod tests {
         let mut snap = SignalDbSnapshot::default();
         db.snapshot_into(&mut snap);
         let values_ptr = snap.values.as_ptr();
-        let stamps_ptr = snap.stamps.as_ptr();
         db.write(SignalId(0), 5.0, Instant::from_millis(2));
         db.snapshot_into(&mut snap);
         assert_eq!(values_ptr, snap.values.as_ptr());
-        assert_eq!(stamps_ptr, snap.stamps.as_ptr());
         assert_eq!(snap.values[0].0, 5.0);
     }
 }

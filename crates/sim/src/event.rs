@@ -15,7 +15,6 @@
 //! binary-heap implementation (lowest sequence number first) is preserved
 //! exactly: every bucket scan resolves ties by sequence number.
 
-use crate::snap::{next_snapshot_id, RestoreStats};
 use crate::time::{Duration, Instant};
 use std::collections::{BTreeMap, HashSet};
 
@@ -74,16 +73,6 @@ pub struct EventQueueSnapshot<E> {
     next_seq: u64,
     live: usize,
     cancelled: HashSet<u64>,
-    /// Per-bucket write stamps mirrored from the queue at capture time.
-    stamps: Vec<u64>,
-    past_stamp: u64,
-    overflow_stamp: u64,
-    cancelled_stamp: u64,
-    /// Queue epoch at capture: every write after the capture stamps
-    /// strictly greater, so `stamp <= epoch` proves a region unchanged.
-    epoch: u64,
-    /// Process-unique capture id checked against the queue's lineage.
-    id: u64,
 }
 
 impl<E> EventQueueSnapshot<E> {
@@ -141,12 +130,6 @@ impl<E> Default for EventQueueSnapshot<E> {
             next_seq: 0,
             live: 0,
             cancelled: HashSet::new(),
-            stamps: Vec::new(),
-            past_stamp: 0,
-            overflow_stamp: 0,
-            cancelled_stamp: 0,
-            epoch: 0,
-            id: 0,
         }
     }
 }
@@ -194,17 +177,6 @@ pub struct EventQueue<E> {
     next_seq: u64,
     live: usize,
     cancelled: HashSet<u64>,
-    /// Per-wheel-bucket epoch of the last write (same indexing as `slots`).
-    stamps: Vec<u64>,
-    past_stamp: u64,
-    overflow_stamp: u64,
-    cancelled_stamp: u64,
-    /// Current write stamp; bumped past the capture point by every
-    /// `snapshot_into`/`restore_from` so stamps order writes across them.
-    epoch: u64,
-    /// Id of the snapshot this queue's state is known to derive from
-    /// (0 = none); gates the delta path in [`EventQueue::restore_from`].
-    derived_from: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -230,12 +202,6 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             live: 0,
             cancelled: HashSet::new(),
-            stamps: vec![0; LEVELS * SLOTS],
-            past_stamp: 0,
-            overflow_stamp: 0,
-            cancelled_stamp: 0,
-            epoch: 0,
-            derived_from: 0,
         }
     }
 
@@ -261,15 +227,6 @@ impl<E> EventQueue<E> {
         self.next_seq = 0;
         self.live = 0;
         self.cancelled.clear();
-        // Everything changed: stamp all regions at the *current* epoch and
-        // sever lineage, forcing the next restore onto the full path.
-        // (Zeroing stamps instead would let a stale snapshot's delta path
-        // skip regions this clear just emptied.)
-        self.stamps.fill(self.epoch);
-        self.past_stamp = self.epoch;
-        self.overflow_stamp = self.epoch;
-        self.cancelled_stamp = self.epoch;
-        self.derived_from = 0;
     }
 
     /// Schedules `payload` to fire at `at`. Returns a handle for [`cancel`].
@@ -289,7 +246,6 @@ impl<E> EventQueue<E> {
         }
         if t < self.cursor {
             self.past.push((t, seq, payload));
-            self.past_stamp = self.epoch;
         } else {
             self.insert_wheel(t, seq, payload);
         }
@@ -305,7 +261,6 @@ impl<E> EventQueue<E> {
             return false;
         }
         if self.cancelled.insert(id.0) {
-            self.cancelled_stamp = self.epoch;
             // The entry may have already popped; `live` is corrected lazily in
             // `pop`, so only mark it here.
             if self.head.is_some_and(|(_, seq)| seq == id.0) {
@@ -322,7 +277,6 @@ impl<E> EventQueue<E> {
         while let Some((at, seq, payload)) = self.remove_min() {
             self.live = self.live.saturating_sub(1);
             if self.cancelled.remove(&seq) {
-                self.cancelled_stamp = self.epoch;
                 continue;
             }
             return Some((Instant::from_micros(at), payload));
@@ -340,7 +294,6 @@ impl<E> EventQueue<E> {
             if self.cancelled.contains(&seq) {
                 self.remove_at(loc);
                 self.cancelled.remove(&seq);
-                self.cancelled_stamp = self.epoch;
                 self.live = self.live.saturating_sub(1);
                 continue;
             }
@@ -380,7 +333,7 @@ impl<E> EventQueue<E> {
     /// where the snapshot was taken (same ids, same order). The cascade
     /// scratch buffer is transient (empty between operations) and is not
     /// part of the snapshot.
-    pub fn snapshot(&mut self) -> EventQueueSnapshot<E>
+    pub fn snapshot(&self) -> EventQueueSnapshot<E>
     where
         E: Clone,
     {
@@ -391,37 +344,10 @@ impl<E> EventQueue<E> {
 
     /// Captures the queue's state into `snap`, reusing every buffer the
     /// snapshot already owns — repeated captures into the same snapshot are
-    /// allocation-free once warm. Records this queue as derived from the
-    /// capture and bumps the write epoch, enabling the delta path of
-    /// [`EventQueue::restore_from`].
-    pub fn snapshot_into(&mut self, snap: &mut EventQueueSnapshot<E>)
-    where
-        E: Clone,
-    {
-        self.copy_content_into(snap);
-        snap.id = next_snapshot_id();
-        self.derived_from = snap.id;
-        self.epoch += 1;
-    }
-
-    /// Captures the queue's content into `snap` *without* joining the
-    /// restore lineage: the queue's `derived_from`/epoch bookkeeping is left
-    /// untouched and the capture gets id 0, so it can never satisfy a
-    /// [`EventQueue::restore_from`] delta check. This is the capture the
-    /// macro-stepping engine uses for its hyperperiod samples — taking a
-    /// real snapshot there would sever the campaign checkpoints' lineage
-    /// and degrade their delta restores to full copies.
-    pub fn image_into(&self, snap: &mut EventQueueSnapshot<E>)
-    where
-        E: Clone,
-    {
-        self.copy_content_into(snap);
-        snap.id = 0;
-    }
-
-    /// Shared content copy behind [`EventQueue::snapshot_into`] (which adds
-    /// the lineage tail) and [`EventQueue::image_into`] (which does not).
-    fn copy_content_into(&self, snap: &mut EventQueueSnapshot<E>)
+    /// allocation-free once warm. Capture has no side effects on the queue,
+    /// so the campaign checkpoints and the macro-stepping engine's
+    /// hyperperiod samples share it.
+    pub fn snapshot_into(&self, snap: &mut EventQueueSnapshot<E>)
     where
         E: Clone,
     {
@@ -447,75 +373,31 @@ impl<E> EventQueue<E> {
         snap.next_seq = self.next_seq;
         snap.live = self.live;
         snap.cancelled.clone_from(&self.cancelled);
-        snap.stamps.clone_from(&self.stamps);
-        snap.past_stamp = self.past_stamp;
-        snap.overflow_stamp = self.overflow_stamp;
-        snap.cancelled_stamp = self.cancelled_stamp;
-        snap.epoch = self.epoch;
     }
 
-    /// Restores the queue to a previously captured snapshot and reports how
-    /// many regions (wheel buckets, the past/overflow/cancelled groups plus
-    /// one scalar header) had to be copied.
-    ///
-    /// When the queue's state still derives from exactly this snapshot, any
-    /// bucket whose write stamp is at or before the capture epoch provably
-    /// never changed and is skipped — O(dirty) instead of O(state). On a
-    /// lineage mismatch (different snapshot, an intervening [`clear`], a
-    /// shape change) everything is copied. Either way buffers are
+    /// Restores the queue to a previously captured snapshot. Buffers are
     /// overwritten in place (`clone_from`, spare-pool recycling for
     /// overflow windows), so restoring onto a warm queue allocates nothing
     /// in steady state.
-    ///
-    /// [`clear`]: EventQueue::clear
-    pub fn restore_from(&mut self, snap: &EventQueueSnapshot<E>) -> RestoreStats
+    pub fn restore_from(&mut self, snap: &EventQueueSnapshot<E>)
     where
         E: Clone,
     {
-        let mut stats = RestoreStats::default();
-        let full = self.derived_from != snap.id || self.slots.len() != snap.slots.len();
-        // Scalar header: always written back (one region).
         self.cursor = snap.cursor;
         self.occupied = snap.occupied;
         self.head = snap.head;
         self.next_seq = snap.next_seq;
         self.live = snap.live;
-        stats.region(true);
         if self.slots.len() != snap.slots.len() {
             self.slots.clear();
             self.slots.resize_with(snap.slots.len(), Vec::new);
-            self.stamps.clear();
-            self.stamps.resize(snap.slots.len(), 0);
         }
-        for i in 0..self.slots.len() {
-            let copy = full || self.stamps[i] > snap.epoch;
-            stats.region(copy);
-            if copy {
-                self.slots[i].clone_from(&snap.slots[i]);
-                self.stamps[i] = snap.stamps[i];
-            }
+        for (dst, src) in self.slots.iter_mut().zip(&snap.slots) {
+            dst.clone_from(src);
         }
-        let copy_past = full || self.past_stamp > snap.epoch;
-        stats.region(copy_past);
-        if copy_past {
-            self.past.clone_from(&snap.past);
-            self.past_stamp = snap.past_stamp;
-        }
-        let copy_cancelled = full || self.cancelled_stamp > snap.epoch;
-        stats.region(copy_cancelled);
-        if copy_cancelled {
-            self.cancelled.clone_from(&snap.cancelled);
-            self.cancelled_stamp = snap.cancelled_stamp;
-        }
-        let copy_overflow = full || self.overflow_stamp > snap.epoch;
-        stats.region(copy_overflow);
-        if copy_overflow {
-            self.restore_overflow(&snap.overflow);
-            self.overflow_stamp = snap.overflow_stamp;
-        }
-        self.derived_from = snap.id;
-        self.epoch = self.epoch.max(snap.epoch) + 1;
-        stats
+        self.past.clone_from(&snap.past);
+        self.cancelled.clone_from(&snap.cancelled);
+        self.restore_overflow(&snap.overflow);
     }
 
     /// Rebuilds the overflow map from a snapshot's sorted window list,
@@ -562,8 +444,7 @@ impl<E> EventQueue<E> {
     /// The wheel buckets are drained and every entry re-inserted relative
     /// to the new cursor, so the physical layout after a jump can differ
     /// from the layout event-by-event simulation would have produced; pop
-    /// order is `(time, seq)`-logical, so behavior is unaffected. Touched
-    /// buckets are stamped, keeping delta restores over a jump correct.
+    /// order is `(time, seq)`-logical, so behavior is unaffected.
     ///
     /// # Panics
     ///
@@ -589,14 +470,12 @@ impl<E> EventQueue<E> {
                 bits &= bits - 1;
                 let idx = level * SLOTS + slot;
                 entries.append(&mut self.slots[idx]);
-                self.stamps[idx] = self.epoch;
             }
             self.occupied[level] = 0;
         }
         while let Some((_, mut ring)) = self.overflow.pop_first() {
             entries.append(&mut ring);
             self.window_spare.push(ring);
-            self.overflow_stamp = self.epoch;
         }
         self.cursor += shift_us;
         self.next_seq += seq_shift;
@@ -636,7 +515,6 @@ impl<E> EventQueue<E> {
             if t >> window == self.cursor >> window {
                 let slot = ((t >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as usize;
                 self.slots[level * SLOTS + slot].push((t, seq, payload));
-                self.stamps[level * SLOTS + slot] = self.epoch;
                 self.occupied[level] |= 1u64 << slot;
                 return;
             }
@@ -652,7 +530,6 @@ impl<E> EventQueue<E> {
                 buf
             })
             .push((t, seq, payload));
-        self.overflow_stamp = self.epoch;
     }
 
     /// Locates the earliest `(time, seq)` entry without removing it.
@@ -700,14 +577,10 @@ impl<E> EventQueue<E> {
     /// Physically removes the entry at `loc`, maintaining the bitmaps.
     fn remove_at(&mut self, loc: Loc) -> (u64, u64, E) {
         match loc {
-            Loc::Past(idx) => {
-                self.past_stamp = self.epoch;
-                self.past.swap_remove(idx)
-            }
+            Loc::Past(idx) => self.past.swap_remove(idx),
             Loc::Level { level, slot, idx } => {
                 let ring = &mut self.slots[level * SLOTS + slot];
                 let entry = ring.swap_remove(idx);
-                self.stamps[level * SLOTS + slot] = self.epoch;
                 if ring.is_empty() {
                     self.occupied[level] &= !(1u64 << slot);
                 }
@@ -716,7 +589,6 @@ impl<E> EventQueue<E> {
             Loc::Overflow { key, idx } => {
                 let ring = self.overflow.get_mut(&key).expect("overflow key present");
                 let entry = ring.swap_remove(idx);
-                self.overflow_stamp = self.epoch;
                 if ring.is_empty() {
                     let retired = self.overflow.remove(&key).expect("ring just accessed");
                     self.window_spare.push(retired);
@@ -759,7 +631,6 @@ impl<E> EventQueue<E> {
         }
         self.cursor = m;
         if let Some(mut batch) = self.overflow.remove(&(m >> TOP_SHIFT)) {
-            self.overflow_stamp = self.epoch;
             for (t, seq, payload) in batch.drain(..) {
                 self.insert_wheel(t, seq, payload);
             }
@@ -780,7 +651,6 @@ impl<E> EventQueue<E> {
                 &mut self.slots[level * SLOTS + slot],
                 std::mem::take(&mut self.cascade_scratch),
             );
-            self.stamps[level * SLOTS + slot] = self.epoch;
             self.occupied[level] &= !(1u64 << slot);
             for (t, seq, payload) in batch.drain(..) {
                 self.insert_wheel(t, seq, payload);
@@ -983,7 +853,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_restore_matches_full_restore_and_skips_clean_buckets() {
+    fn restore_onto_a_dirtied_or_unrelated_queue_replays_identically() {
         let build = || {
             let mut q = EventQueue::new();
             for i in 0..40u64 {
@@ -996,30 +866,24 @@ mod tests {
         let mut snap = EventQueueSnapshot::default();
         q.snapshot_into(&mut snap);
 
-        // Dirty a handful of buckets, then delta-restore.
+        // Dirty a handful of buckets, then restore.
         for _ in 0..3 {
             q.pop();
         }
         q.schedule(t(2_000), 901);
-        let delta = q.restore_from(&snap);
-        assert!(
-            delta.regions_copied < delta.regions_total / 2,
-            "delta restore copied {}/{} regions",
-            delta.regions_copied,
-            delta.regions_total
-        );
+        q.restore_from(&snap);
 
-        // A fresh queue has no lineage: the same snapshot restores fully.
+        // The same snapshot restores onto a queue it was not taken from.
         let mut fresh = build();
-        let copy = fresh.restore_from(&snap);
-        assert_eq!(copy.regions_copied, copy.regions_total);
+        fresh.schedule(t(3_000), 902);
+        fresh.restore_from(&snap);
 
         fn drain(q: &mut EventQueue<u64>) -> Vec<(u64, u64)> {
             std::iter::from_fn(|| q.pop().map(|(at, e)| (at.as_micros(), e))).collect()
         }
-        let via_delta = drain(&mut q);
-        let via_full = drain(&mut fresh);
-        assert_eq!(via_delta, via_full);
+        let via_origin = drain(&mut q);
+        let via_other = drain(&mut fresh);
+        assert_eq!(via_origin, via_other);
     }
 
     #[test]
@@ -1097,29 +961,6 @@ mod tests {
         assert_eq!(drained, expected);
         // New schedules continue from the shifted sequence space.
         assert_eq!(q.schedule(t(1 << 27), 9).raw(), 5 + seqs);
-    }
-
-    #[test]
-    fn image_capture_leaves_lineage_intact() {
-        // An image between a snapshot and its restore must not break the
-        // delta path: the restore should still skip clean buckets.
-        let mut q = EventQueue::new();
-        for i in 0..40u64 {
-            q.schedule(t(1_000 + 64 * i), i);
-        }
-        let mut snap = EventQueueSnapshot::default();
-        q.snapshot_into(&mut snap);
-        q.pop();
-        let mut image = EventQueueSnapshot::default();
-        q.image_into(&mut image);
-        assert_eq!(image.id, 0);
-        let stats = q.restore_from(&snap);
-        assert!(
-            stats.regions_copied < stats.regions_total / 2,
-            "image capture severed the snapshot lineage: {}/{} regions copied",
-            stats.regions_copied,
-            stats.regions_total
-        );
     }
 
     #[test]

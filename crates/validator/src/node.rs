@@ -26,7 +26,7 @@ use easis_rte::assembly::SequencedTask;
 use easis_rte::mapping::{ApplicationId, SystemMapping};
 use easis_rte::runnable::{RunnableId, RunnableRegistry};
 use easis_rte::signal::{SignalDb, SignalDbSnapshot, SignalId};
-use easis_sim::snap::{replay_tail, tail_repeats, RestoreStats};
+use easis_sim::snap::{replay_tail, tail_repeats};
 use easis_sim::time::{Duration, Instant};
 use easis_baselines::task_monitors::{TaskMonitorImage, TaskMonitorStats};
 use easis_osek::kernel::OsSnapshot;
@@ -200,11 +200,6 @@ pub struct CentralNode {
     pub periods: BTreeMap<String, Duration>,
     config: NodeConfig,
     started: bool,
-    /// Monotone fork counter: bumped every time the node is restored from
-    /// a checkpoint. Component-level delta bookkeeping lives inside each
-    /// component (see `easis_sim::snap`); this counter identifies the
-    /// node's fork generation for probes and diagnostics.
-    epoch: u64,
     /// The hyperperiod macro-stepping engine (see [`CentralNode::run_span`]).
     ffwd: FfwdState,
 }
@@ -412,7 +407,6 @@ impl CentralNode {
             periods,
             config,
             started: false,
-            epoch: 0,
             ffwd: FfwdState::new(hyperperiod),
         }
     }
@@ -572,7 +566,7 @@ impl CentralNode {
     /// Panics if the node was never started, or if an in-flight plan holds
     /// a boxed `Step::Effect` closure (node bodies only use `EffectRef`
     /// tokens, so this cannot happen for nodes built here).
-    pub fn snapshot(&mut self) -> NodeSnapshot {
+    pub fn snapshot(&self) -> NodeSnapshot {
         let mut snap = NodeSnapshot::default();
         self.snapshot_into(&mut snap);
         snap
@@ -583,14 +577,13 @@ impl CentralNode {
     /// (signals, controls, watchdog, FMF, hardware watchdog, logs) and the
     /// baseline-monitor statistics. The snapshot's buffer capacity is
     /// retained, so re-capturing into a warm snapshot is allocation-free
-    /// in the steady state. Each component records the capture lineage
-    /// (`easis_sim::snap`), making a later [`CentralNode::restore_from`]
-    /// O(dirty). See [`NodeSnapshot`] for what is deliberately excluded.
+    /// in the steady state. Capture has no side effects on the node. See
+    /// [`NodeSnapshot`] for what is deliberately excluded.
     ///
     /// # Panics
     ///
     /// See [`CentralNode::snapshot`].
-    pub fn snapshot_into(&mut self, snap: &mut NodeSnapshot) {
+    pub fn snapshot_into(&self, snap: &mut NodeSnapshot) {
         assert!(self.started, "snapshot a started node");
         self.os.snapshot_into(&mut snap.os);
         self.world.signals.snapshot_into(&mut snap.signals);
@@ -600,8 +593,7 @@ impl CentralNode {
         snap.hw_watchdog.clone_from(&self.world.hw_watchdog);
         snap.treatments.clone_from(&self.world.treatments);
         snap.ecu_resets = self.world.ecu_resets;
-        snap.fault_log.clear();
-        snap.fault_log.extend_from_slice(&self.world.fault_log);
+        snap.fault_log.clone_from(&self.world.fault_log);
         snap.rx_mailbox.clone_from(&self.world.rx_mailbox);
         snap.deadline_stats = self.deadline_monitor.stats();
         snap.exec_stats = self.exec_monitor.stats();
@@ -609,51 +601,29 @@ impl CentralNode {
 
     /// Restores the node to a previously captured checkpoint. Only valid
     /// on the node the snapshot was taken from or a structurally identical
-    /// one (same blueprint); the kernel layer asserts the table shapes it
-    /// can check cheaply. Vector state is written back with `clone_from`,
-    /// so a pooled node's capacity survives repeated restores.
-    ///
-    /// When the node still descends from `snap` (nothing reset the
-    /// lineage in between), each component copies only the regions
-    /// written since the capture — restoring a clean tail touches a small
-    /// fraction of the node. The returned [`RestoreStats`] aggregate the
-    /// per-component region counts; [`RestoreStats::dirty_fraction`]
-    /// feeds the campaign bench's `restore_dirty_fraction` probe.
-    pub fn restore_from(&mut self, snap: &NodeSnapshot) -> RestoreStats {
-        let mut stats = self.os.restore_from(&snap.os);
-        stats.absorb(self.world.signals.restore_from(&snap.signals));
-        stats.absorb(self.world.watchdog.restore_from(&snap.watchdog));
-        stats.absorb(self.world.fmf.restore_from(&snap.fmf));
-        // World-level always-copied regions. Controls flip on every
-        // injection window, the hardware watchdog is kicked every cycle,
-        // and the logs/monitor stats are cheap when clean (empty
-        // `clone_from`s) — none earns per-write stamping.
-        stats.region(true);
+    /// one (same blueprint) — the shared prefix cache restores one
+    /// worker's checkpoint onto another worker's node; the kernel layer
+    /// asserts the table shapes it can check cheaply. Every component is
+    /// copied back in full with `clone_from`, so a pooled node's capacity
+    /// survives repeated restores and a warm restore allocates nothing.
+    pub fn restore_from(&mut self, snap: &NodeSnapshot) {
+        self.os.restore_from(&snap.os);
+        self.world.signals.restore_from(&snap.signals);
+        self.world.watchdog.restore_from(&snap.watchdog);
+        self.world.fmf.restore_from(&snap.fmf);
         self.world.controls.clone_from(&snap.controls);
-        stats.region(true);
         self.world.hw_watchdog.clone_from(&snap.hw_watchdog);
-        stats.region(true);
         self.world.treatments.clone_from(&snap.treatments);
-        self.world.fault_log.clear();
-        self.world.fault_log.extend_from_slice(&snap.fault_log);
+        self.world.fault_log.clone_from(&snap.fault_log);
         self.world.rx_mailbox.clone_from(&snap.rx_mailbox);
         self.world.ecu_resets = snap.ecu_resets;
-        stats.region(true);
         self.deadline_monitor.restore_stats(&snap.deadline_stats);
         self.exec_monitor.restore_stats(&snap.exec_stats);
         self.started = true;
-        self.epoch += 1;
         // The certification backoff describes the abandoned timeline; a
         // restored trial starts its jump schedule afresh, whichever trial
         // ran on this node before it.
         self.ffwd.backoff = 0;
-        stats
-    }
-
-    /// The node's fork generation: how many times it has been restored
-    /// from a checkpoint.
-    pub fn fork_epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Runs the kernel until `end` in one uninterrupted span, without any
@@ -724,13 +694,14 @@ impl CentralNode {
             && !self.world.obs.is_enabled()
     }
 
-    /// Captures a certification image (cheaper than a [`NodeSnapshot`]:
-    /// append-only logs as lengths, monitor statistics as flat counts —
-    /// warm captures allocate nothing).
+    /// Captures a certification image through the same component
+    /// captures as [`CentralNode::snapshot_into`], minus the parts
+    /// [`FfwdImage`] explains it leaves out — warm captures allocate
+    /// nothing.
     fn ffwd_image(&self, img: &mut FfwdImage) {
-        self.os.image_into(&mut img.os);
-        self.world.signals.image_into(&mut img.signals);
-        self.world.watchdog.image_into(&mut img.watchdog);
+        self.os.snapshot_into(&mut img.os);
+        self.world.signals.snapshot_into(&mut img.signals);
+        self.world.watchdog.snapshot_into(&mut img.watchdog);
         self.world.fmf.image_into(&mut img.fmf);
         match &mut img.hw_watchdog {
             Some(hw) => hw.clone_from(&self.world.hw_watchdog),
@@ -1068,13 +1039,21 @@ impl FfwdState {
 }
 
 /// One certification image: the node state the delta derivation compares.
-/// Deliberately cheaper than a [`NodeSnapshot`]: the append-only logs are
-/// captured as lengths (the records a hyperperiod appends are read from
-/// the live log tail, see [`CentralNode::run_span`]) and the baseline
-/// monitors as flat per-task counts, so a warm capture clones no maps.
-/// Runnable controls are not captured at all — only injector ticks mutate
-/// them, and `run_span` never ticks the injector, so they are constant
-/// over every span the engine certifies.
+///
+/// This is a second node-level capture type on purpose. Kernel, signals
+/// and watchdog go through the same `snapshot_into` calls as a
+/// [`NodeSnapshot`], but a `NodeSnapshot` per certification sample would
+/// clone the String-keyed `RunnableControls` and the baseline monitors'
+/// `BTreeMap` statistics on every sample, which breaks the
+/// allocation-free certification the campaign bench's steady-state
+/// allocation gates pin. So the append-only logs are captured as lengths
+/// (the records a hyperperiod appends are read from the live log tail,
+/// see [`CentralNode::run_span`] and
+/// [`FaultManagementFramework::image_into`]) and the baseline monitors
+/// as flat per-task counts, so a warm capture clones no maps. Runnable
+/// controls are not captured at all — only injector ticks mutate them,
+/// and `run_span` never ticks the injector, so they are constant over
+/// every span the engine certifies.
 #[derive(Debug, Default)]
 struct FfwdImage {
     os: OsSnapshot,
@@ -1209,14 +1188,13 @@ impl NodeSnapshot {
         self.os.taken_at()
     }
 
-    /// Lineage-blind content equality, the equivalence-test comparator for
+    /// Content equality, the equivalence-test comparator for
     /// macro-stepped versus event-level runs. The kernel is compared
     /// through its canonical rendering — the timer wheel's *physical*
     /// layout is legitimately non-canonical after a fast-forward, only its
     /// logical content must match. Signal and watchdog state go through
     /// their zero-shift derivations (every monotone field must be exactly
-    /// equal); everything else compares structurally. Capture lineage
-    /// (snapshot ids, epochs) is deliberately ignored.
+    /// equal); everything else compares structurally.
     pub fn content_eq(&self, other: &NodeSnapshot) -> bool {
         let mut slots = Vec::new();
         let mut wd = WatchdogCycleDelta::default();
@@ -1234,7 +1212,7 @@ impl NodeSnapshot {
                 &mut wd,
             )
             && wd == WatchdogCycleDelta::default()
-            && self.fmf.content_eq(&other.fmf)
+            && self.fmf == other.fmf
             && self.controls == other.controls
             && self.hw_watchdog == other.hw_watchdog
             && self.treatments == other.treatments
@@ -1420,7 +1398,8 @@ mod tests {
     #[test]
     fn snapshot_restore_replays_a_faulty_run_identically() {
         use easis_injection::injector::{ErrorClass, Injection};
-        let mut node = CentralNode::build(NodeConfig::safespeed_only());
+        let blueprint = NodeBlueprint::compile(NodeConfig::safespeed_only());
+        let mut node = CentralNode::build_from_blueprint(&blueprint);
         node.start();
         let mut pre = Injector::none();
         node.run_until(ms(200), &mut pre);
@@ -1451,6 +1430,28 @@ mod tests {
         assert_eq!(first.1, second.1);
         assert_eq!(first.2, second.2);
         assert_eq!(first.3, second.3);
+
+        // Cross-node restore, the shared prefix cache's path: a second node
+        // from the same blueprint runs a different faulty tail, then takes
+        // the first node's checkpoint and must replay the origin's tail.
+        let mut other = CentralNode::build_from_blueprint(&blueprint);
+        other.start();
+        let victim = other.runnable("SAFE_CC_process");
+        let mut divergent = Injector::new([Injection::new(
+            ErrorClass::HeartbeatLoss { runnable: victim },
+            ms(100),
+            ms(700),
+        )]);
+        other.run_until(ms(900), &mut divergent);
+        assert!(!other.world.fault_log.is_empty(), "divergent tail must be faulty");
+        assert_ne!(other.world.fault_log, first.0, "tails must differ");
+        other.restore_from(&snap);
+        assert_eq!(other.os.now(), ms(200));
+        let third = run_tail(&mut other);
+        assert_eq!(first.0, third.0, "fault log");
+        assert_eq!(first.1, third.1, "treatments");
+        assert_eq!(first.2, third.2, "kernel trace");
+        assert_eq!(first.3, third.3, "watchdog cycles");
     }
 
     #[test]
@@ -1479,8 +1480,8 @@ mod tests {
             node.run_span(Instant::from_millis(1_500));
             node
         };
-        let mut fast = build(true);
-        let mut plain = build(false);
+        let fast = build(true);
+        let plain = build(false);
         let stats = fast.ffwd_stats();
         assert!(stats.certifications >= 1, "{stats:?}");
         assert!(stats.fastforwarded > Duration::ZERO, "{stats:?}");

@@ -483,8 +483,8 @@ fn macro_stepped_soak_crosses_rotation_boundary_and_detects_fault_past_it() {
         node.run_span(horizon);
         node
     };
-    let mut fast = run(true);
-    let mut plain = run(false);
+    let fast = run(true);
+    let plain = run(false);
 
     // The prefix really was macro-stepped (most of ~16.8 s elided), and the
     // rotation crossing really was simulated (a counted fallback).
