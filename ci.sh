@@ -35,21 +35,19 @@ for key in schema_version iterations monitored_runnables ns_per_heartbeat \
 done
 rm -rf "$hotpath_scratch"
 
-echo "==> campaign_bench smoke run (forked vs pooled vs fresh, schema + alloc gates)"
+echo "==> campaign_bench smoke run (forked vs oracle, schema + alloc gates)"
 # Reduced trial count from a scratch dir: the bit-identical forked-vs-
-# pooled-vs-fresh stats assertions, the steady-state allocation floor,
-# the faulty-trial allocation floor and the horizon-scaling zero-alloc
-# gate always apply, as do the snapshot-probe gates (warm capture and
-# warm clean-tail restore allocation floors); the prefix-reuse
-# (>=1.5x) and pooled-vs-fresh (>=2x) speedup assertions are skipped
-# below the full 200 trials/class so smoke runs stay timing-noise-proof,
-# and the committed BENCH_campaign.json (full-scale record) is not
-# clobbered.
+# oracle stats assertion, the steady-state allocation floor, the
+# faulty-trial allocation floor and the horizon-scaling zero-alloc gate
+# always apply, as do the snapshot-probe gates (warm capture and warm
+# clean-tail restore allocation floors); the forked-vs-oracle (>=3x)
+# speedup assertion is skipped below the full 200 trials/class so smoke
+# runs stay timing-noise-proof, and the committed BENCH_campaign.json
+# (full-scale record) is not clobbered.
 campaign_scratch="$(mktemp -d)"
 (cd "$campaign_scratch" && EASIS_WORKERS=2 "$OLDPWD/target/release/campaign_bench" 10 > /dev/null)
 for key in schema_version trials workers simulated_ms_per_trial setup \
-           forked pooled fresh prefix_reuse speedup_vs_pooled \
-           speedup_pooled_vs_fresh steady_state clean_trial_allocs \
+           forked oracle speedup_vs_oracle steady_state clean_trial_allocs \
            faulty_trial_allocs horizon_scaling_allocs snapshot \
            capture_ns restore_ns snapshot_allocs restore_allocs \
            tail_fastforward ffwd_span_fraction fallbacks certifications \
@@ -82,6 +80,18 @@ echo "==> checkpoints stay one capture, one restore (no lineage protocol)"
 # its bookkeeping names must not creep back into the crates.
 if grep -rnE 'derived_from|RestoreStats|next_snapshot_id' crates/; then
   echo "delta-restore lineage bookkeeping crept back into the crates"; exit 1
+fi
+
+echo "==> campaign engine stays one runner, one oracle (no pooled or fresh engines)"
+# The campaign engine has one production runner (scenario::run_plan, one
+# node per worker for its whole stripe) and one reference oracle
+# (scenario::run_trial, a fresh node per trial). The pooled and fresh
+# engines, the thread-local node pool and the shared prefix cache were
+# measured not to pay for themselves once each worker keeps its node for
+# its whole stripe, and deleted; their names must not creep back.
+if grep -rnE 'run_plan_pooled|run_plan_fresh|run_trial_pooled|NODE_POOL|PREFIX_PUBLISH_SPACING|BLUEPRINT_STAMP' \
+     crates/ src/ tests/ examples/; then
+  echo "a deleted campaign engine or its node pool crept back"; exit 1
 fi
 
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"

@@ -5,42 +5,37 @@
 //! injection trials, each simulating a full central node to its horizon —
 //! so campaign wall-clock is the cost that decides how dense a coverage
 //! grid is affordable. This bin measures the T-COV campaign (the same
-//! plan shape as the golden campaign report, scaled up) through three
-//! execution paths:
+//! plan shape as the golden campaign report, scaled up) through the
+//! campaign engine's two paths:
 //!
-//! 1. **forked** — [`run_plan`]: golden-run prefix checkpointing. Each
-//!    worker sorts its chunk by injection time, simulates the clean
+//! 1. **forked** — [`run_plan`], the production runner: golden-run prefix
+//!    checkpointing. Each worker builds one node for its whole stripe,
+//!    sorts the stripe by injection time, simulates the clean
 //!    (injection-free) prefix once, snapshots the node at each distinct
 //!    fork instant and restores every trial from its checkpoint, so only
-//!    the post-injection tail is re-simulated (the default path since
-//!    prefix checkpointing landed);
-//! 2. **pooled** — [`run_plan_pooled`]: the previous engine. One pooled
-//!    node per worker, `reset()` between trials, but every trial
-//!    re-simulates its full prefix under the per-millisecond tick loop;
-//! 3. **fresh** — [`run_plan_fresh`]: every trial builds its own node
-//!    from scratch — config compile included — with the kernel execution
-//!    trace recording, exactly how campaigns ran before the throughput
-//!    engine (the pre-engine node had no switch to turn the trace off).
+//!    the post-injection tail is re-simulated, with macro-stepping and
+//!    the tail-collapse memo on top;
+//! 2. **oracle** — [`run_trial`] on the same executor: the deliberately
+//!    naive reference. Every trial builds its own node and runs the whole
+//!    horizon under the per-millisecond injector loop.
 //!
-//! All three paths must produce bit-identical [`CampaignStats`]
-//! (asserted). At the full 1000-trial campaign the `prefix_reuse` probe
-//! asserts the forked path at **≥1.5× the pooled trials/sec** (restore
-//! is cheaper than re-simulating the prefix, and the uninterrupted tail
-//! spans skip the baseline's per-millisecond injector round-trips); on
-//! ≥4 workers the pooled path must additionally stay **≥2× fresh**. The
-//! setup-vs-run split (per-trial node build vs pooled reset vs one-off
-//! blueprint compile) is measured separately so the report shows *where*
-//! the speedup comes from.
+//! Both paths must produce bit-identical [`CampaignStats`] (asserted). At
+//! the full 1000-trial campaign the bin asserts the forked path at
+//! **≥[`ORACLE_SPEEDUP_FLOOR`]× the oracle's trials/sec**. The setup split
+//! (one-off blueprint compile vs the oracle's per-trial node build) is
+//! measured separately so the report shows *where* the oracle's time goes.
 //!
 //! Since the plan-arena task bodies landed, the bin additionally proves
 //! the steady-state claim under a counting global allocator: a clean
-//! (no-fault) pooled trial on a warmed node is measured at the reference
-//! horizon and at twice the horizon, and the counts must be **equal** —
+//! (no-fault) trial on a warmed node — restored from a checkpoint taken
+//! right after `start()`, injector reloaded, run to the horizon — is
+//! measured at the reference horizon and at twice the horizon, and the
+//! counts must be **equal** —
 //! doubling the simulated time (and with it every task activation) adds
 //! zero heap allocations, i.e. the plan/effect/step-buffer path is
 //! allocation-free (asserted). A *faulty* trial — one whose injection
 //! fires inside the horizon and is detected — is probed the same way:
-//! with the pooled fault records, drained-into treatment actions and the
+//! with the reused fault records, drained-into treatment actions and the
 //! in-place DTC freeze frame it may allocate at most
 //! [`FAULTY_TRIAL_ALLOC_FLOOR`] blocks (asserted; the residue is the
 //! outcome's detection map plus first-occurrence DTC inserts). A
@@ -68,7 +63,7 @@
 //! because an oversubscribed sweep measures contention, not scaling.
 //!
 //! Results land in `BENCH_campaign.json` (stable schema,
-//! `schema_version` 6; `host_cores` records the recording host's
+//! `schema_version` 7; `host_cores` records the recording host's
 //! available parallelism next to the sweep so readers can tell scaling
 //! from oversubscription; each sweep entry carries its
 //! `parallel_efficiency` = trials/sec ÷ (workers × workers=1 trials/sec)).
@@ -80,20 +75,16 @@
 //! `EASIS_WORKERS` (default: available parallelism).
 //!
 //! [`run_plan`]: easis_validator::scenario::run_plan
-//! [`run_plan_pooled`]: easis_validator::scenario::run_plan_pooled
-//! [`run_plan_fresh`]: easis_validator::scenario::run_plan_fresh
-//! [`NodeBlueprint`]: easis_validator::node::NodeBlueprint
+//! [`run_trial`]: easis_validator::scenario::run_trial
 //! [`CampaignStats`]: easis_injection::stats::CampaignStats
 
 use easis_injection::campaign::{CampaignBuilder, CampaignPlan, TrialSpec};
 use easis_injection::executor::CampaignExecutor;
-use easis_injection::injector::{ErrorClass, Injection};
+use easis_injection::injector::{ErrorClass, Injection, Injector};
 use easis_rte::runnable::RunnableId;
 use easis_sim::time::{Duration, Instant};
 use easis_validator::node::{CentralNode, NodeBlueprint, NodeSnapshot};
-use easis_validator::scenario::{
-    campaign_node_config, run_plan, run_plan_fresh, run_plan_pooled, run_trial_pooled,
-};
+use easis_validator::scenario::{campaign_node_config, extract_outcome, run_plan, run_trial};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -135,10 +126,13 @@ const DEFAULT_TRIALS_PER_CLASS: usize = 200;
 /// Below the full campaign the speedup assertions are timing noise, not
 /// signal.
 const ASSERT_FLOOR_TRIALS_PER_CLASS: usize = DEFAULT_TRIALS_PER_CLASS;
-/// The pooled-vs-fresh ≥2× assertion also needs real parallelism to be
-/// meaningful (the prefix-reuse gate does not: checkpointing is a
-/// per-worker saving, so it holds at any worker count).
-const ASSERT_FLOOR_WORKERS: usize = 4;
+/// Required forked-path speedup over the [`run_trial`] oracle at the full
+/// campaign. Both paths run on the same executor and checkpointing,
+/// macro-stepping and the memo save work in every worker alike, so the
+/// ratio holds at any worker count. The floor is the product of two
+/// earlier gates: forked ≥ 1.5× a pooled per-trial runner, which had to
+/// be ≥ 2× a fresh per-trial build.
+const ORACLE_SPEEDUP_FLOOR: f64 = 3.0;
 /// Campaign passes per path; the fastest pass is reported (interference
 /// only ever adds time, so the best pass is the closest observation).
 const CAMPAIGN_REPS: u32 = 3;
@@ -163,8 +157,8 @@ const FFWD_SPEEDUP_FLOOR: f64 = 1.5;
 /// the sweep measures oversubscription and the gate is skipped).
 const SWEEP_SCALING_FLOOR: f64 = 1.3;
 
-/// Maximum heap blocks a clean steady-state pooled trial may allocate.
-/// With the pooled injector (`Injector::reload`) and the interned
+/// Maximum heap blocks a clean steady-state trial may allocate on a warmed
+/// node. With the reloaded injector (`Injector::reload`) and the interned
 /// outcome tag (`ErrorClass::interned_tag`) the per-trial constants are
 /// gone — a warmed trial measures 0; one block of slack absorbs
 /// collection growth-point jitter without letting a real per-trial
@@ -179,12 +173,12 @@ const STEADY_STATE_ALLOC_FLOOR: u64 = 1;
 /// through.
 const SNAPSHOT_ALLOC_FLOOR: u64 = 1;
 
-/// Maximum heap blocks a *fault-detecting* pooled trial may allocate on
-/// a warmed node. Fault records, state changes, treatment actions and
-/// the DTC freeze frame are pooled/rewritten in place; what remains is
-/// the outcome's detection `BTreeMap` node plus the DTC store's
-/// first-occurrence inserts (each fault class re-enters an emptied map
-/// after `reset()`).
+/// Maximum heap blocks a *fault-detecting* trial may allocate on a
+/// warmed node. Fault records, state changes, treatment actions and the
+/// DTC freeze frame are reused/rewritten in place; what remains is the
+/// outcome's detection `BTreeMap` node plus the DTC store's
+/// first-occurrence inserts (each fault class re-enters the map emptied
+/// by the restore of the post-start checkpoint).
 const FAULTY_TRIAL_ALLOC_FLOOR: u64 = 4;
 
 /// The T-COV campaign plan: same seed, target set and injection window as
@@ -211,7 +205,7 @@ fn best_of<F: FnMut()>(reps: u32, mut op: F) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Report schema (schema_version 6 — keep stable, future PRs diff this).
+// Report schema (schema_version 7 — keep stable, future PRs diff this).
 // ---------------------------------------------------------------------
 
 /// One campaign execution path, full-plan wall clock and derived rates.
@@ -238,44 +232,31 @@ impl PathTiming {
 #[derive(Serialize)]
 struct SetupSplit {
     /// One-off cost of compiling the watchdog config into a blueprint
-    /// (paid once per campaign on the pooled path).
+    /// (paid once per campaign on the forked path).
     blueprint_compile_ns: f64,
-    /// Per-trial node construction on the fresh path (config compile
-    /// included).
+    /// Per-trial fresh node construction on the oracle path (config
+    /// compile included).
     fresh_build_ns_per_trial: f64,
-    /// Per-trial `CentralNode::reset` on the pooled path.
-    pooled_reset_ns_per_trial: f64,
-    /// Fraction of the fresh path's wall clock spent building nodes.
+    /// Fraction of the oracle's wall clock spent building nodes.
     fresh_setup_fraction: f64,
-    /// Fraction of the pooled path's wall clock spent resetting nodes.
-    pooled_setup_fraction: f64,
 }
 
-/// Steady-state allocation probe of one clean and one faulty pooled
-/// trial. The doubling delta is the gate: zero means no per-activation
+/// Steady-state allocation probe of one clean and one faulty trial on a
+/// warmed node. The doubling delta is the gate: zero means no per-activation
 /// (plan/effect/step-buffer) allocation survives on the hot path.
 #[derive(Serialize)]
 struct AllocProbe {
-    /// Heap allocations of one clean (no-fault) pooled trial on a warmed
-    /// node, reference horizon.
+    /// Heap allocations of one clean (no-fault) trial on a warmed node,
+    /// reference horizon.
     clean_trial_allocs: u64,
     /// Same probe at twice the simulated horizon (twice the activations).
     clean_trial_allocs_2x_horizon: u64,
     /// `2x − 1x`: allocations attributable to simulated time. Must be 0.
     horizon_scaling_allocs: i64,
-    /// Heap allocations of one fault-detecting pooled trial on a warmed
-    /// node (pooled fault records + in-place DTC freeze frame; floor
+    /// Heap allocations of one fault-detecting trial on a warmed node
+    /// (reused fault records + in-place DTC freeze frame; floor
     /// [`FAULTY_TRIAL_ALLOC_FLOOR`]).
     faulty_trial_allocs: u64,
-}
-
-/// Golden-run prefix checkpointing: the forked path measured against the
-/// pooled (full-prefix re-simulation) baseline on the same executor.
-#[derive(Serialize)]
-struct PrefixReuseProbe {
-    /// Forked trials/sec over pooled trials/sec. Asserted ≥ 1.5 at the
-    /// full campaign.
-    speedup_vs_pooled: f64,
 }
 
 /// Snapshot probe on a standalone node: what one capture and one
@@ -335,11 +316,11 @@ struct Report {
     simulated_ms_per_trial: u64,
     setup: SetupSplit,
     forked: PathTiming,
-    pooled: PathTiming,
-    fresh: PathTiming,
-    prefix_reuse: PrefixReuseProbe,
+    oracle: PathTiming,
+    /// Forked trials/sec over oracle trials/sec. Asserted ≥
+    /// [`ORACLE_SPEEDUP_FLOOR`] at the full campaign.
+    speedup_vs_oracle: f64,
     tail_fastforward: TailFastforwardProbe,
-    speedup_pooled_vs_fresh: f64,
     steady_state: AllocProbe,
     snapshot: SnapshotProbe,
     worker_sweep: Vec<SweepEntry>,
@@ -359,27 +340,14 @@ const WORKER_SWEEP_NOTE: &str = "trials/sec by worker count on this recording \
      host workers=2 trailing workers=1 is expected, not a regression";
 
 /// Measures the one-off and per-trial setup costs outside the campaign.
-fn measure_setup() -> (f64, f64, f64) {
+fn measure_setup() -> (f64, f64) {
     let compile_ns = best_of(SETUP_REPS, || {
         black_box(NodeBlueprint::compile(campaign_node_config()));
     });
     let build_ns = best_of(SETUP_REPS, || {
         black_box(CentralNode::build(campaign_node_config()));
     });
-    // Reset a node that has actually run a trial's worth of simulation, so
-    // the measured reset covers dirty state, not a no-op on a clean world.
-    let blueprint = NodeBlueprint::compile(campaign_node_config());
-    let mut node = CentralNode::build_from_blueprint(&blueprint);
-    let mut injector = easis_injection::injector::Injector::none();
-    let mut reset_ns = f64::INFINITY;
-    for _ in 0..SETUP_REPS {
-        node.start();
-        node.run_until(Instant::from_millis(100), &mut injector);
-        let start = std::time::Instant::now();
-        node.reset();
-        reset_ns = reset_ns.min(start.elapsed().as_nanos() as f64);
-    }
-    (compile_ns, build_ns, reset_ns)
+    (compile_ns, build_ns)
 }
 
 /// A trial whose injection window lies beyond any probed horizon: the
@@ -415,28 +383,39 @@ fn faulty_spec() -> TrialSpec {
     }
 }
 
-/// Measures heap allocations of one pooled trial of `spec` on a warmed
-/// node (minimum over several runs, so incidental lazy initialisation
-/// cannot inflate the figure). Runs on the calling thread's pool slot.
+/// Measures heap allocations of one trial of `spec` on a warmed node
+/// (minimum over several runs, so incidental lazy initialisation cannot
+/// inflate the figure). Each trial restores a checkpoint captured right
+/// after `start()`, reloads the injector, runs the per-millisecond loop
+/// to the horizon and extracts the outcome.
 fn measure_trial_allocs(blueprint: &NodeBlueprint, spec: &TrialSpec, horizon: Instant) -> u64 {
-    // Warm the pool: the first trial builds the node, the following ones
-    // grow every retained buffer (arena slots, timer wheel, logs, fault
-    // records) to the steady state of this horizon and fault profile.
+    let mut node = CentralNode::build_from_blueprint(blueprint);
+    node.start();
+    let started = node.snapshot();
+    let mut injector = Injector::none();
+    let mut trial = || {
+        node.restore_from(&started);
+        injector.reload([spec.injection.clone()]);
+        node.run_until(horizon, &mut injector);
+        extract_outcome(&node, spec)
+    };
+    // Warm the node: the first trials grow every retained buffer (arena
+    // slots, timer wheel, logs, fault records) to the steady state of
+    // this horizon and fault profile.
     for _ in 0..3 {
-        black_box(run_trial_pooled(blueprint, spec, horizon));
+        black_box(trial());
     }
     let mut best = u64::MAX;
     for _ in 0..5 {
         let before = allocations();
-        black_box(run_trial_pooled(blueprint, spec, horizon));
+        black_box(trial());
         best = best.min(allocations() - before);
     }
     best
 }
 
-/// Measures the snapshot machinery on a standalone node (not the
-/// campaign thread pool's slot, which the headline runs must keep
-/// undisturbed): warm capture cost and allocations, then the restore
+/// Measures the snapshot machinery on a standalone node: warm capture
+/// cost and allocations, then the restore
 /// cost and allocations after a clean tail run from the fork instant to
 /// the horizon — the checkpoint pattern of the forked campaign path.
 fn measure_snapshot_probe(blueprint: &NodeBlueprint) -> SnapshotProbe {
@@ -489,10 +468,8 @@ fn validate_emitted_json(path: &str) {
         "simulated_ms_per_trial",
         "setup",
         "forked",
-        "pooled",
-        "fresh",
-        "prefix_reuse",
-        "speedup_pooled_vs_fresh",
+        "oracle",
+        "speedup_vs_oracle",
         "steady_state",
         "snapshot",
         "tail_fastforward",
@@ -559,13 +536,13 @@ fn main() {
     let simulated_ms_per_trial = HORIZON.as_millis();
 
     println!("================================================================");
-    println!("experiment CAMPAIGN-THROUGHPUT — forked vs pooled vs fresh trials");
+    println!("experiment CAMPAIGN-THROUGHPUT — forked runner vs per-trial oracle");
     println!("{trials} trials (T-COV plan), horizon {simulated_ms_per_trial} ms, {workers} workers");
     println!("================================================================");
 
-    let (compile_ns, build_ns, reset_ns) = measure_setup();
+    let (compile_ns, build_ns) = measure_setup();
 
-    // Steady-state allocation probe: a clean pooled trial at the reference
+    // Steady-state allocation probe: a clean trial at the reference
     // horizon and at twice the horizon. Equal counts prove the per-
     // activation path (plans, effects, step buffers) allocates nothing —
     // only the per-trial constants (injector, outcome) remain.
@@ -588,7 +565,7 @@ fn main() {
          +{scaling}) — the plan/effect/step-buffer path has regressed from \
          allocation-free"
     );
-    // Absolute floor: with the pooled injector and the interned outcome
+    // Absolute floor: with the reloaded injector and the interned outcome
     // tag a clean steady-state trial allocates nothing. Gate with one
     // block of slack so a new per-trial or per-activation allocation
     // anywhere in the kernel/RTE/watchdog cycle fails loudly.
@@ -600,7 +577,7 @@ fn main() {
     );
 
     // Faulty-cycle probe: a trial that detects real faults must stay
-    // within the pooled-buffer floor — fault records, state changes,
+    // within the retained-buffer floor — fault records, state changes,
     // treatment actions and the freeze frame are reused, so only the
     // outcome map and first-occurrence DTC inserts remain.
     let faulty_allocs = measure_trial_allocs(&probe_blueprint, &faulty_spec(), HORIZON);
@@ -639,18 +616,12 @@ fn main() {
         snapshot.restore_allocs
     );
 
-    // Fresh first so the later paths cannot inherit any warmed-up state
-    // (they could not anyway — pools are per worker thread and the
-    // executor spawns fresh threads per run — but the order makes that
-    // obvious). Forked last: it is the production path, measured after
-    // its own baseline.
-    let mut fresh_stats = None;
-    let fresh_ns = best_of(CAMPAIGN_REPS, || {
-        fresh_stats = Some(run_plan_fresh(&plan, HORIZON, &executor));
-    });
-    let mut pooled_stats = None;
-    let pooled_ns = best_of(CAMPAIGN_REPS, || {
-        pooled_stats = Some(run_plan_pooled(&plan, HORIZON, &executor));
+    // Oracle first, forked last: the production path is measured after
+    // its reference. Neither inherits warmed-up state — every worker
+    // builds its own node(s) inside each run.
+    let mut oracle_stats = None;
+    let oracle_ns = best_of(CAMPAIGN_REPS, || {
+        oracle_stats = Some(executor.run(&plan, |s| run_trial(s, HORIZON)));
     });
     // Bracket the forked headline reps with the process-wide macro-
     // stepping counters: the span fraction is a ratio, so aggregating
@@ -661,32 +632,23 @@ fn main() {
         forked_stats = Some(run_plan(&plan, HORIZON, &executor));
     });
     let ffwd_metrics = easis_validator::ffwd::metrics();
-    let fresh_stats = fresh_stats.expect("fresh campaign ran");
-    let pooled_stats = pooled_stats.expect("pooled campaign ran");
+    let oracle_stats = oracle_stats.expect("oracle campaign ran");
     let forked_stats = forked_stats.expect("forked campaign ran");
     assert_eq!(
-        pooled_stats, fresh_stats,
-        "pooled and fresh campaigns must produce bit-identical stats"
-    );
-    assert_eq!(
-        forked_stats, pooled_stats,
-        "snapshot-forked and pooled campaigns must produce bit-identical stats"
+        forked_stats, oracle_stats,
+        "forked campaign and per-trial oracle must produce bit-identical stats"
     );
 
     let forked = PathTiming::new(forked_ns, trials, simulated_ms_per_trial);
-    let pooled = PathTiming::new(pooled_ns, trials, simulated_ms_per_trial);
-    let fresh = PathTiming::new(fresh_ns, trials, simulated_ms_per_trial);
-    let speedup = fresh_ns / pooled_ns;
-    let prefix_speedup = pooled_ns / forked_ns;
+    let oracle = PathTiming::new(oracle_ns, trials, simulated_ms_per_trial);
+    let speedup_vs_oracle = oracle_ns / forked_ns;
     let setup = SetupSplit {
         blueprint_compile_ns: compile_ns,
         fresh_build_ns_per_trial: build_ns,
-        pooled_reset_ns_per_trial: reset_ns,
-        // Builds/resets run on `workers` threads; compare against the
-        // aggregate CPU time, not wall clock, so the fraction stays in
-        // [0, 1] regardless of parallelism.
-        fresh_setup_fraction: (build_ns * trials as f64) / (fresh_ns * workers as f64),
-        pooled_setup_fraction: (reset_ns * trials as f64) / (pooled_ns * workers as f64),
+        // Builds run on `workers` threads; compare against the aggregate
+        // CPU time, not wall clock, so the fraction stays in [0, 1]
+        // regardless of parallelism.
+        fresh_setup_fraction: (build_ns * trials as f64) / (oracle_ns * workers as f64),
     };
 
     println!(
@@ -695,8 +657,7 @@ fn main() {
     );
     for (name, t) in [
         ("forked (run_plan)", &forked),
-        ("pooled (run_plan_pooled)", &pooled),
-        ("fresh (run_plan_fresh)", &fresh),
+        ("oracle (run_trial)", &oracle),
     ] {
         println!(
             "{:<28} {:>12.1} {:>14.0} {:>16.0}",
@@ -710,7 +671,7 @@ fn main() {
         trials_per_sec: forked.trials_per_sec,
         speedup_vs_baseline: forked.trials_per_sec / FORKED_BASELINE_TRIALS_PER_SEC,
     };
-    println!("prefix-reuse speedup (forked vs pooled): {prefix_speedup:.2}x");
+    println!("forked vs oracle speedup: {speedup_vs_oracle:.2}x");
     println!(
         "tail fast-forward: {:.1}% of forked span skipped, {} certifications, \
          {} fallbacks, {:.2}x vs pre-macro-stepping baseline \
@@ -720,22 +681,19 @@ fn main() {
         tail_fastforward.fallbacks,
         tail_fastforward.speedup_vs_baseline,
     );
-    println!("pooled vs fresh speedup: {speedup:.2}x");
     println!(
         "setup: blueprint compile {:.0} ns (once), fresh build {:.0} ns/trial \
-         ({:.0}% of fresh cpu), pooled reset {:.0} ns/trial ({:.1}% of pooled cpu)",
+         ({:.0}% of oracle cpu)",
         setup.blueprint_compile_ns,
         setup.fresh_build_ns_per_trial,
         setup.fresh_setup_fraction * 100.0,
-        setup.pooled_reset_ns_per_trial,
-        setup.pooled_setup_fraction * 100.0,
     );
 
     if trials_per_class >= ASSERT_FLOOR_TRIALS_PER_CLASS {
         assert!(
-            prefix_speedup >= 1.5,
-            "prefix checkpointing must be ≥1.5× pooled trials/sec at the \
-             full campaign, got {prefix_speedup:.2}×"
+            speedup_vs_oracle >= ORACLE_SPEEDUP_FLOOR,
+            "forked campaign must be ≥{ORACLE_SPEEDUP_FLOOR}× the per-trial \
+             oracle's trials/sec at the full campaign, got {speedup_vs_oracle:.2}×"
         );
         assert!(
             tail_fastforward.ffwd_span_fraction > 0.0,
@@ -759,21 +717,8 @@ fn main() {
         );
     } else {
         println!(
-            "(prefix-reuse and tail-fastforward assertions skipped below \
+            "(oracle-speedup and tail-fastforward assertions skipped below \
              {ASSERT_FLOOR_TRIALS_PER_CLASS} trials/class)"
-        );
-    }
-    if trials_per_class >= ASSERT_FLOOR_TRIALS_PER_CLASS && workers >= ASSERT_FLOOR_WORKERS {
-        assert!(
-            speedup >= 2.0,
-            "pooled campaign must be ≥2× fresh trials/sec at the full \
-             campaign on ≥{ASSERT_FLOOR_WORKERS} workers, got {speedup:.2}×"
-        );
-    } else {
-        println!(
-            "(pooled-vs-fresh assertion skipped below \
-             {ASSERT_FLOOR_TRIALS_PER_CLASS} trials/class or \
-             {ASSERT_FLOOR_WORKERS} workers)"
         );
     }
 
@@ -835,18 +780,14 @@ fn main() {
     }
 
     let report = Report {
-        schema_version: 6,
+        schema_version: 7,
         trials,
         workers: workers as u64,
         simulated_ms_per_trial,
         setup,
         forked,
-        pooled,
-        fresh,
-        prefix_reuse: PrefixReuseProbe {
-            speedup_vs_pooled: prefix_speedup,
-        },
-        speedup_pooled_vs_fresh: speedup,
+        oracle,
+        speedup_vs_oracle,
         steady_state: AllocProbe {
             clean_trial_allocs: allocs_1x,
             clean_trial_allocs_2x_horizon: allocs_2x,

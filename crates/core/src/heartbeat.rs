@@ -125,20 +125,6 @@ impl HeartbeatMonitor {
         self.obs = obs;
     }
 
-    /// Resets all counters and activation statuses to their just-built
-    /// state under the current hypotheses (world pooling support).
-    pub fn reset(&mut self) {
-        self.ac.fill(0);
-        self.arc.fill(0);
-        self.cca.fill(0);
-        self.ccar.fill(0);
-        self.aliveness_errors.fill(0);
-        self.arrival_rate_errors.fill(0);
-        for slot in 0..self.hypotheses.len() {
-            self.active[slot] = self.hypotheses[slot].initially_active;
-        }
-    }
-
     /// Records one aliveness indication at `now`. Unmonitored runnables
     /// and runnables with a cleared activation status are ignored (the
     /// glue call is still charged to `costs`, as the AS test itself costs
@@ -634,15 +620,18 @@ mod activation_tests {
     }
 
     #[test]
-    fn snapshot_restore_after_reset_recovers_captured_state() {
+    fn snapshot_restore_after_rewind_recovers_captured_state() {
         let mut m = HeartbeatMonitor::new([RunnableHypothesis::new(r(0)).alive_at_least(1, 4)]);
+        let mut built = HeartbeatSnapshot::default();
+        m.snapshot_into(&mut built);
         let mut costs = CostMeter::new();
         m.record(r(0), t(0), &mut costs);
         m.set_active(r(0), false);
         let mut snap = HeartbeatSnapshot::default();
         m.snapshot_into(&mut snap);
-        m.reset();
-        assert!(m.is_active(r(0)), "reset re-arms from the hypothesis");
+        m.restore_from(&built);
+        assert!(m.is_active(r(0)), "the just-built state is armed from the hypothesis");
+        assert_eq!(m.counters(r(0)).unwrap().ac, 0);
         m.restore_from(&snap);
         assert!(!m.is_active(r(0)), "restored to the captured AS");
     }

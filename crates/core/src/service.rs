@@ -410,30 +410,9 @@ impl SoftwareWatchdog {
     }
 
     /// The shared compiled configuration (cheap to clone; campaigns hand
-    /// it to [`SoftwareWatchdog::from_shared`] for pooled rebuilds).
+    /// it to [`SoftwareWatchdog::from_shared`] for rebuilds).
     pub fn shared_config(&self) -> Arc<WatchdogConfig> {
         Arc::clone(&self.config)
-    }
-
-    /// Resets every monitoring unit to its just-built state while keeping
-    /// the compiled configuration and the attached observability sink.
-    /// After `reset()` the service is indistinguishable from
-    /// `SoftwareWatchdog::from_shared(self.shared_config())` — the world-
-    /// pooling contract of the campaign engine.
-    pub fn reset(&mut self) {
-        self.heartbeat_unit.reset();
-        for checker in &mut self.pfc_units {
-            checker.reset();
-        }
-        self.tsi_unit.reset();
-        self.task_faulty.fill(false);
-        self.pfc_errors.fill(0);
-        self.outbox.clear();
-        self.state_outbox.clear();
-        self.change_scratch.clear();
-        self.costs = CostMeter::new();
-        self.cycles_run = 0;
-        self.last_heartbeat_now = Instant::ZERO;
     }
 
     /// Captures every piece of watchdog runtime state — monitor counters,
@@ -852,6 +831,8 @@ mod tests {
         // Run a faulty prefix, capture, run a divergent tail, restore, and
         // check the tail replays exactly.
         let mut wd = safespeed_watchdog();
+        let mut built = WatchdogSnapshot::default();
+        wd.snapshot_into(&mut built);
         wd.heartbeat(r(0), t(5));
         wd.heartbeat(r(2), t(6)); // skipped r1 → PFC violation in outbox
         wd.run_cycle(t(10));
@@ -876,11 +857,12 @@ mod tests {
         let second = tail(&mut wd);
         assert_eq!(first, second, "restore must replay identically");
 
-        // A restore after reset() still reproduces the same tail.
-        wd.reset();
+        // A restore after rewinding to the just-built state still
+        // reproduces the same tail.
+        wd.restore_from(&built);
         wd.restore_from(&snap);
         let third = tail(&mut wd);
-        assert_eq!(first, third, "restore after reset must replay identically");
+        assert_eq!(first, third, "restore after rewind must replay identically");
     }
 
     #[test]

@@ -33,8 +33,9 @@ pub struct FaultManagementFramework {
     /// treated. The rendered strings are exactly what the old
     /// `format!`-per-action path produced; interning just means an
     /// application's second (and every later) treatment allocates
-    /// nothing. Deliberately kept across [`reset`](Self::reset): a pooled
-    /// world treats the same applications trial after trial.
+    /// nothing. Deliberately outside the snapshot, so it survives
+    /// restores: a campaign node treats the same applications trial after
+    /// trial.
     app_reasons: BTreeMap<ApplicationId, Arc<str>>,
 }
 
@@ -273,20 +274,6 @@ impl FaultManagementFramework {
     pub fn reset_budgets(&mut self) {
         self.app_restarts.clear();
         self.terminated_apps.clear();
-    }
-
-    /// Full reset to the just-built state — log, DTC memory, queued
-    /// actions, budgets and counters — keeping the severity map, policy
-    /// and observability sink (world pooling support). Clears in place:
-    /// buffer capacity and DTC thresholds survive, so a pooled world's
-    /// reset allocates nothing.
-    pub fn reset(&mut self) {
-        self.log.clear();
-        self.dtc.clear_all();
-        self.actions.clear();
-        self.app_restarts.clear();
-        self.terminated_apps.clear();
-        self.ecu_resets = 0;
     }
 
     /// Captures the framework's runtime state — fault log, DTC memory,
@@ -529,6 +516,7 @@ mod tests {
     #[test]
     fn reasons_render_like_the_format_strings_and_are_interned() {
         let mut fmf = FaultManagementFramework::default();
+        let built = fmf.snapshot();
         fmf.ingest_state_change(app_faulty(1));
         fmf.ingest_state_change(app_faulty(2));
         fmf.ingest_state_change(StateChange::EcuFaulty {
@@ -539,9 +527,9 @@ mod tests {
         assert_eq!(&*actions[1].reason, "application App0 faulty");
         assert_eq!(&*actions[2].reason, "global ECU state faulty");
         // Interned: both App0 actions share one allocation, and the cache
-        // survives reset() (pooled worlds treat the same apps per trial).
+        // survives a restore (forked campaign trials treat the same apps).
         assert!(std::sync::Arc::ptr_eq(&actions[0].reason, &actions[1].reason));
-        fmf.reset();
+        fmf.restore_from(&built);
         fmf.ingest_state_change(app_faulty(10));
         let again = fmf.take_actions();
         assert!(std::sync::Arc::ptr_eq(&actions[0].reason, &again[0].reason));
@@ -566,8 +554,8 @@ mod tests {
     }
 
     /// Drives a tail after a capture, restores, and asserts the replay is
-    /// observably identical — then restores again after `reset()` and
-    /// asserts the replay is identical too.
+    /// observably identical — then restores again after rewinding to the
+    /// just-built checkpoint and asserts the replay is identical too.
     #[test]
     fn snapshot_restore_replays_identically() {
         let drive_prefix = |fmf: &mut FaultManagementFramework| {
@@ -591,6 +579,7 @@ mod tests {
         };
 
         let mut fmf = FaultManagementFramework::default();
+        let built = fmf.snapshot();
         drive_prefix(&mut fmf);
         let snap = fmf.snapshot();
         let at_capture = observe(&fmf);
@@ -604,7 +593,8 @@ mod tests {
         drive_tail(&mut fmf);
         assert_eq!(observe(&fmf), after_tail);
 
-        fmf.reset();
+        fmf.restore_from(&built);
+        assert_ne!(observe(&fmf), at_capture);
         fmf.restore_from(&snap);
         assert_eq!(observe(&fmf), at_capture);
         drive_tail(&mut fmf);

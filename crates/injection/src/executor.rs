@@ -6,26 +6,27 @@
 //! full central node to its horizon. Trials are hermetic — every one
 //! builds its own node world from its [`TrialSpec`] — so they
 //! parallelise embarrassingly. [`CampaignExecutor`] fans a plan across a
-//! pool of worker threads over a shared work queue and merges the
-//! outcomes **by trial index**, so the resulting [`CampaignStats`] is
-//! bit-identical to a serial run regardless of worker count, chunk size
-//! or thread scheduling.
+//! pool of worker threads and merges the outcomes **by trial index**, so
+//! the resulting [`CampaignStats`] is bit-identical to a serial run
+//! regardless of worker count, chunk size or thread scheduling.
 //!
-//! Work distribution is **statically striped**: the plan's chunks are
-//! assigned round-robin to workers up front, so a worker owns its whole
-//! stripe from the moment it spawns — no shared work queue, no channel
-//! receive per chunk. Each worker sends its results exactly once, when its
-//! stripe is done, so channel traffic is one message per worker regardless
-//! of plan size. (The earlier shared-queue design paid one channel
-//! round-trip per chunk, which on a single-core host was enough
-//! synchronization to make two workers *slower* than one.) Campaign trials
-//! are near-uniform in cost, so dynamic rebalancing buys nothing here.
+//! Work distribution is **statically striped**: the plan is cut into
+//! chunks of consecutive trials and the chunks are dealt round-robin to
+//! the workers up front, so a worker owns its whole stripe from the moment
+//! it spawns — no shared work queue, no channel receive per chunk. Each
+//! worker hands its entire stripe to the runner in **one call** and sends
+//! the results exactly once, so a runner can keep per-call state (a built
+//! node, a checkpoint buffer) alive for the worker's whole share of the
+//! plan. Striping is static, so the chunk size only decides how evenly a
+//! plan whose trials are grouped by error class splits across workers:
+//! small chunks interleave the classes, large chunks hand each worker long
+//! single-class runs. Campaign trials are near-uniform in cost, so
+//! dynamic rebalancing buys nothing here.
 //!
-//! [`CampaignExecutor::run_chunked`] exposes the chunk boundary to the
-//! runner: the whole contiguous chunk of specs is handed over in one call,
-//! so a runner can amortize per-chunk work — the validator's forked
-//! campaign runner sorts each chunk by injection time and forks trials
-//! from golden-prefix snapshots instead of re-simulating the prefix.
+//! [`CampaignExecutor::run_chunked`] exposes the stripe to the runner: the
+//! validator's forked campaign runner sorts a worker's stripe by injection
+//! time and forks trials from golden-prefix snapshots instead of
+//! re-simulating the prefix.
 //!
 //! ```
 //! use easis_injection::campaign::CampaignBuilder;
@@ -45,14 +46,13 @@
 use crate::campaign::{CampaignPlan, TrialSpec};
 use crate::stats::{CampaignStats, TrialOutcome};
 use crossbeam::channel;
-use std::ops::Range;
 
 /// Executes campaign plans across a fixed pool of worker threads with
 /// deterministic (order-independent) result aggregation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignExecutor {
     workers: usize,
-    /// Trials per work-queue chunk; 0 = auto-size from the plan.
+    /// Trials per striping chunk; 0 = auto-size from the plan.
     chunk: usize,
 }
 
@@ -72,10 +72,11 @@ impl CampaignExecutor {
         }
     }
 
-    /// Sets the number of trial specs per work-queue chunk. `0` restores
-    /// automatic sizing (≈ 4 chunks per worker, clamped to 1..=64). The
-    /// merged stats are bit-identical for every chunk size; the knob only
-    /// trades channel traffic against load-balancing granularity.
+    /// Sets the number of consecutive trial specs per striping chunk. `0`
+    /// restores automatic sizing (≈ 4 chunks per worker, clamped to
+    /// 1..=64). The merged stats are bit-identical for every chunk size;
+    /// the knob only decides how evenly a class-ordered plan splits across
+    /// the workers' stripes (the runner is still called once per worker).
     pub fn with_chunk_size(mut self, chunk: usize) -> Self {
         self.chunk = chunk;
         self
@@ -83,8 +84,8 @@ impl CampaignExecutor {
 
     /// An executor sized by the `EASIS_WORKERS` environment variable
     /// (worker count), falling back to the machine's available
-    /// parallelism, and chunked by `EASIS_CHUNK` (trials per work-queue
-    /// batch, 0/unset = auto). A set-but-invalid value (unparsable, or a
+    /// parallelism, and chunked by `EASIS_CHUNK` (trials per striping
+    /// chunk, 0/unset = auto). A set-but-invalid value (unparsable, or a
     /// worker count of 0) is rejected with a warning on stderr rather
     /// than silently ignored, then the fallback applies.
     pub fn from_env() -> Self {
@@ -131,7 +132,7 @@ impl CampaignExecutor {
         self.workers
     }
 
-    /// Configured trials per work-queue chunk (0 = auto).
+    /// Configured trials per striping chunk (0 = auto).
     pub fn chunk_size(&self) -> usize {
         self.chunk
     }
@@ -141,9 +142,9 @@ impl CampaignExecutor {
         if self.chunk > 0 {
             return self.chunk;
         }
-        // Auto: aim for ~4 chunks per worker so stragglers rebalance,
-        // bounded so tiny plans still parallelise and huge plans don't
-        // drown the channel.
+        // Auto: ~4 chunks per worker, so each stripe samples every part
+        // of a class-ordered plan; bounded so tiny plans still spread
+        // across workers and huge plans keep chunks of useful length.
         (trials / (self.workers * 4)).clamp(1, 64)
     }
 
@@ -164,38 +165,41 @@ impl CampaignExecutor {
     where
         F: Fn(&TrialSpec) -> TrialOutcome + Sync,
     {
-        self.run_chunked(plan, |specs, _base| specs.iter().map(&runner).collect())
+        self.run_chunked(plan, |specs, _worker| specs.iter().map(&runner).collect())
     }
 
-    /// Like [`CampaignExecutor::run`], but hands the runner a whole
-    /// contiguous **chunk** of trial specs at once together with the index
-    /// of its first trial, and expects one outcome per spec, in spec
-    /// order. A chunk runner may reorder the trials *internally* (e.g. by
-    /// injection time, to share golden-prefix snapshots) as long as the
-    /// returned vector lines up with the input slice.
+    /// Like [`CampaignExecutor::run`], but hands the runner a worker's
+    /// whole **stripe** of trial specs in one call, together with the
+    /// worker's index (`0..workers`; the serial path is worker 0 and gets
+    /// the entire plan), and expects one outcome per spec, in spec order.
+    /// A runner may reorder the trials *internally* (e.g. by injection
+    /// time, to share golden-prefix snapshots) as long as the returned
+    /// vector lines up with the input slice.
     ///
-    /// Chunks are striped round-robin across the worker pool before any
-    /// thread spawns; each worker walks its own stripe without touching a
-    /// shared queue and sends all its results in a single channel message
-    /// at the end. Outcomes are merged by trial index, so the stats are
-    /// bit-identical across worker counts and chunk sizes for any pure
-    /// runner.
+    /// The plan is cut into chunks of consecutive trials, dealt
+    /// round-robin to the workers before any thread spawns: worker `w`'s
+    /// stripe is chunks `w`, `w + W`, `w + 2W`, … concatenated in trial
+    /// index order. The runner is called exactly once per worker (a worker
+    /// left without a chunk is not spawned), and each worker sends its
+    /// results in a single channel message. Outcomes are
+    /// merged by trial index, so the stats are bit-identical across worker
+    /// counts and chunk sizes for any pure runner.
     ///
     /// # Panics
     ///
     /// Panics if the runner returns the wrong number of outcomes for a
-    /// chunk, and propagates runner panics.
-    pub fn run_chunked<F>(&self, plan: &CampaignPlan, chunk_runner: F) -> CampaignStats
+    /// stripe, and propagates runner panics.
+    pub fn run_chunked<F>(&self, plan: &CampaignPlan, runner: F) -> CampaignStats
     where
         F: Fn(&[TrialSpec], usize) -> Vec<TrialOutcome> + Sync,
     {
         let trials = plan.trials();
         if self.workers == 1 || trials.len() <= 1 {
-            let outcomes = chunk_runner(trials, 0);
+            let outcomes = runner(trials, 0);
             assert_eq!(
                 outcomes.len(),
                 trials.len(),
-                "chunk runner must return one outcome per spec"
+                "runner must return one outcome per spec"
             );
             let mut stats = CampaignStats::new();
             for outcome in outcomes {
@@ -205,29 +209,25 @@ impl CampaignExecutor {
         }
 
         let chunk = self.effective_chunk(trials.len());
-        let workers = self.workers.min(trials.len());
-        let (done_tx, done_rx) = channel::unbounded::<Vec<(usize, Vec<TrialOutcome>)>>();
-        let chunk_runner = &chunk_runner;
+        // A worker without a chunk would only pay the runner's setup.
+        let workers = self.workers.min(trials.len().div_ceil(chunk));
+        let (done_tx, done_rx) = channel::unbounded::<(usize, Vec<TrialOutcome>)>();
+        let runner = &runner;
         crossbeam::thread::scope(|scope| {
             for worker in 0..workers {
                 let done_tx = done_tx.clone();
                 scope.spawn(move || {
-                    // This worker's stripe: chunks worker, worker+W, … —
-                    // known entirely up front, no shared queue.
-                    let mut produced: Vec<(usize, Vec<TrialOutcome>)> = Vec::new();
-                    let mut start = worker * chunk;
-                    while start < trials.len() {
-                        let range: Range<usize> = start..(start + chunk).min(trials.len());
-                        let outcomes = chunk_runner(&trials[range.clone()], range.start);
-                        assert_eq!(
-                            outcomes.len(),
-                            range.len(),
-                            "chunk runner must return one outcome per spec"
-                        );
-                        produced.push((range.start, outcomes));
-                        start += chunk * workers;
-                    }
-                    done_tx.send(produced).expect("results open");
+                    let stripe: Vec<TrialSpec> =
+                        stripe_indices(trials.len(), chunk, workers, worker)
+                            .map(|index| trials[index].clone())
+                            .collect();
+                    let outcomes = runner(&stripe, worker);
+                    assert_eq!(
+                        outcomes.len(),
+                        stripe.len(),
+                        "runner must return one outcome per spec"
+                    );
+                    done_tx.send((worker, outcomes)).expect("results open");
                 });
             }
         })
@@ -236,16 +236,12 @@ impl CampaignExecutor {
 
         // Merge by trial index: completion order is scheduling noise.
         let mut slots: Vec<Option<TrialOutcome>> = vec![None; trials.len()];
-        for produced in done_rx.iter() {
-            for (start, outcomes) in produced {
-                for (offset, outcome) in outcomes.into_iter().enumerate() {
-                    debug_assert!(
-                        slots[start + offset].is_none(),
-                        "trial {} ran twice",
-                        start + offset
-                    );
-                    slots[start + offset] = Some(outcome);
-                }
+        for (worker, outcomes) in done_rx.iter() {
+            for (index, outcome) in
+                stripe_indices(trials.len(), chunk, workers, worker).zip(outcomes)
+            {
+                debug_assert!(slots[index].is_none(), "trial {index} ran twice");
+                slots[index] = Some(outcome);
             }
         }
         let mut stats = CampaignStats::new();
@@ -254,6 +250,19 @@ impl CampaignExecutor {
         }
         stats
     }
+}
+
+/// Trial indices of `worker`'s stripe, ascending: chunks `worker`,
+/// `worker + workers`, … of `chunk` consecutive trials each.
+fn stripe_indices(
+    trials: usize,
+    chunk: usize,
+    workers: usize,
+    worker: usize,
+) -> impl Iterator<Item = usize> {
+    (worker * chunk..trials)
+        .step_by(chunk * workers)
+        .flat_map(move |start| start..(start + chunk).min(trials))
 }
 
 impl Default for CampaignExecutor {
@@ -324,17 +333,64 @@ mod tests {
         let plan = plan();
         let serial = CampaignExecutor::serial().run(&plan, synthetic);
         for workers in [1, 2, 4, 8] {
-            let chunked = CampaignExecutor::new(workers).run_chunked(&plan, |specs, base| {
-                // Process the chunk back-to-front internally; return in
+            let chunked = CampaignExecutor::new(workers).run_chunked(&plan, |specs, worker| {
+                // Process the stripe back-to-front internally; return in
                 // spec order — the contract run_chunked requires.
                 let mut out: Vec<Option<TrialOutcome>> = specs.iter().map(|_| None).collect();
+                assert!(worker < workers, "worker index out of range");
                 for (i, spec) in specs.iter().enumerate().rev() {
-                    assert!(base + i < plan.len(), "base index out of range");
                     out[i] = Some(synthetic(spec));
                 }
                 out.into_iter().map(Option::unwrap).collect()
             });
             assert_eq!(serial, chunked, "{workers} workers diverged");
+        }
+    }
+
+    /// Each worker's runner call receives its whole stripe — chunks
+    /// `w`, `w + W`, … in ascending trial index order — exactly once.
+    #[test]
+    fn runner_is_called_once_per_worker_with_its_stripe() {
+        // Seeds equal trial indices, so a call's specs name its trials.
+        let trials: Vec<TrialSpec> = plan()
+            .trials()
+            .iter()
+            .enumerate()
+            .map(|(index, spec)| TrialSpec {
+                seed: index as u64,
+                ..spec.clone()
+            })
+            .collect();
+        let plan = CampaignPlan::from_trials(trials);
+        let serial = CampaignExecutor::serial().run(&plan, synthetic);
+        for workers in [1, 2, 3, 8] {
+            for chunk in [0, 1, 4, 12] {
+                let exec = CampaignExecutor::new(workers).with_chunk_size(chunk);
+                let calls = std::sync::Mutex::new(Vec::new());
+                let stats = exec.run_chunked(&plan, |specs, worker| {
+                    let seeds: Vec<u64> = specs.iter().map(|s| s.seed).collect();
+                    calls.lock().unwrap().push((worker, seeds));
+                    specs.iter().map(synthetic).collect()
+                });
+                assert_eq!(stats, serial, "{workers} workers, chunk {chunk}");
+                let mut calls = calls.into_inner().unwrap();
+                calls.sort();
+                let size = if workers == 1 {
+                    plan.len()
+                } else {
+                    exec.effective_chunk(plan.len())
+                };
+                let expected: Vec<(usize, Vec<u64>)> = (0..workers)
+                    .map(|worker| {
+                        let seeds = (0..plan.len() as u64)
+                            .filter(|&index| (index as usize / size) % workers == worker)
+                            .collect();
+                        (worker, seeds)
+                    })
+                    .filter(|(_, seeds): &(usize, Vec<u64>)| !seeds.is_empty())
+                    .collect();
+                assert_eq!(calls, expected, "{workers} workers, chunk {chunk}");
+            }
         }
     }
 

@@ -60,7 +60,7 @@ struct Tcb {
     config: TaskConfig,
     state: TaskState,
     /// `true` once the current activation's plan has been filled into the
-    /// kernel's [`PlanArena`] slot (cleared at termination/reset).
+    /// kernel's [`PlanArena`] slot (cleared at termination).
     planned: bool,
     current_priority: Priority,
     set_events: EventMask,
@@ -147,13 +147,6 @@ impl ReadyQueue {
         band.remove(pos);
         if band.is_empty() {
             self.bits[p / 64] &= !(1u64 << (p % 64));
-        }
-    }
-
-    fn clear(&mut self) {
-        self.bits = [0; 4];
-        for band in &mut self.bands {
-            band.clear();
         }
     }
 }
@@ -416,16 +409,6 @@ impl<W> Os<W> {
     /// Shuts the OS down (fires the shutdown hook; scheduling stops).
     pub fn shutdown(&mut self, world: &mut W) {
         self.core.shutdown(world);
-    }
-
-    /// Resets all runtime state to the pre-[`Os::start`] configuration,
-    /// keeping the task/alarm/resource tables, bodies, observers and trace
-    /// settings. A reset OS replays a simulation exactly like a freshly
-    /// built one — the campaign engine's world pooling relies on this
-    /// equivalence (pinned by a proptest at the node level).
-    pub fn reset(&mut self) {
-        self.core.reset_runtime();
-        self.arena.reset();
     }
 
     /// Captures every piece of kernel *runtime* state into a deterministic
@@ -1034,40 +1017,6 @@ impl<W> Core<W> {
         self.trace.record(self.now, TRACE_SOURCE, "shutdown", "");
         self.fire_hook(HookEvent::Shutdown, world);
         self.started = false;
-    }
-
-    /// Resets every core field to the pre-start configuration (the arena is
-    /// reset by [`Os::reset`] alongside).
-    fn reset_runtime(&mut self) {
-        for tcb in &mut self.tasks {
-            tcb.state = TaskState::Suspended;
-            tcb.planned = false;
-            tcb.current_priority = tcb.config.priority();
-            tcb.set_events = EventMask::NONE;
-            tcb.waiting_for = EventMask::NONE;
-            tcb.held.clear();
-            tcb.issued = 0;
-            tcb.completed = 0;
-            tcb.exec_time = Duration::ZERO;
-            tcb.budget_reported = false;
-            tcb.ready_key = 0;
-        }
-        for alarm in &mut self.alarms {
-            alarm.disarm();
-            alarm.set_cycle_scale_ppm(1_000_000);
-        }
-        for resource in &mut self.resources {
-            resource.release();
-        }
-        self.timers.clear();
-        self.now = Instant::ZERO;
-        self.running = None;
-        self.trace.clear();
-        self.started = false;
-        self.next_back_key = 1;
-        self.next_front_key = -1;
-        self.ready.clear();
-        self.busy = Duration::ZERO;
     }
 
     fn activate_task(&mut self, id: TaskId, world: &mut W) -> Result<(), OsError> {
@@ -2067,11 +2016,12 @@ mod tests {
     }
 
     #[test]
-    fn restore_replays_identically_before_and_after_a_reset() {
+    fn restore_replays_identically_on_a_run_on_and_a_rewound_kernel() {
         // Three tasks, but the post-snapshot tail only ever runs one of
-        // them; restoring onto the run-on kernel and onto a reset kernel
-        // must both replay the captured tail exactly. Bodies plan EffectRef tokens: boxed-closure plans cannot be
-        // snapshotted.
+        // them; restoring onto the run-on kernel and onto a kernel rewound
+        // to its post-start checkpoint must both replay the captured tail
+        // exactly. Bodies plan EffectRef tokens: boxed-closure plans
+        // cannot be snapshotted.
         struct RefBody {
             label: &'static str,
             cost: Duration,
@@ -2097,6 +2047,7 @@ mod tests {
         let a_idle = os.add_alarm("a_idle", AlarmAction::ActivateTask(_idle_a));
         let mut w = W::new();
         os.start(&mut w);
+        let started = os.snapshot();
         os.set_rel_alarm(a_act, ms(1), Some(ms(1))).unwrap();
         let _ = a_idle; // declared but never armed: stays clean
         os.run_until(Instant::from_millis(5), &mut w);
@@ -2110,11 +2061,11 @@ mod tests {
         os.run_until(Instant::from_millis(9), &mut w2);
         assert_eq!(&w2[world_mark..], &tail[..], "restore diverges");
 
-        os.reset();
+        os.restore_from(&started);
         os.restore_from(&snap);
         let mut w3: W = w[..world_mark].to_vec();
         os.run_until(Instant::from_millis(9), &mut w3);
-        assert_eq!(&w3[world_mark..], &tail[..], "restore after reset diverges");
+        assert_eq!(&w3[world_mark..], &tail[..], "restore after rewind diverges");
     }
 
     #[test]

@@ -288,9 +288,9 @@ impl<W> Plan<W> {
 /// task body fills it in place via [`TaskBody::plan_into`]. Once a slot has
 /// grown to the task's steady-state plan length, re-planning performs no
 /// heap allocation at all — the campaign hot path relies on this to run
-/// alloc-free trials. [`PlanArena::reset`] (called from `Os::reset`) clears
-/// every slot but keeps the capacity, so pooled worlds replay trials without
-/// re-growing the buffers.
+/// alloc-free trials. A snapshot restore copies plans back into the
+/// retained slots, so a rewound node replays trials without re-growing the
+/// buffers.
 pub struct PlanArena<W> {
     slots: Vec<Plan<W>>,
 }
@@ -339,21 +339,6 @@ impl<W> PlanArena<W> {
     /// Panics if `idx` was never grown to (kernel bug).
     pub fn slot_mut(&mut self, idx: usize) -> &mut Plan<W> {
         &mut self.slots[idx]
-    }
-
-    /// Clears every slot, retaining all allocated capacity. Part of the
-    /// world-pooling contract: a reset arena replans exactly like a fresh
-    /// one, only without the allocations.
-    pub fn reset(&mut self) {
-        for slot in &mut self.slots {
-            slot.clear();
-        }
-    }
-
-    /// Sum of all slots' step capacities (observability for tests and
-    /// benches asserting capacity retention across resets).
-    pub fn total_capacity(&self) -> usize {
-        self.slots.iter().map(Plan::capacity).sum()
     }
 
     /// Captures every slot's remaining steps. At a snapshot instant some
@@ -1008,34 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_reset_keeps_grown_capacity() {
-        let mut arena: PlanArena<W> = PlanArena::new();
-        arena.grow_to(3);
-        for i in 0..3 {
-            let slot = arena.slot_mut(i);
-            for _ in 0..(8 * (i + 1)) {
-                slot.push_effect_ref(i as u32);
-            }
-        }
-        let cap = arena.total_capacity();
-        assert!(cap >= 8 + 16 + 24);
-        arena.reset();
-        for i in 0..3 {
-            assert!(arena.slot_mut(i).is_empty());
-        }
-        assert_eq!(arena.total_capacity(), cap, "reset must not shrink slots");
-        // Refilling to the previous length allocates nothing (capacity-wise:
-        // the capacity stays put).
-        for i in 0..3 {
-            let slot = arena.slot_mut(i);
-            for _ in 0..(8 * (i + 1)) {
-                slot.push_effect_ref(i as u32);
-            }
-        }
-        assert_eq!(arena.total_capacity(), cap);
-    }
-
-    #[test]
     fn arena_snapshot_restores_in_flight_plans() {
         let mut arena: PlanArena<W> = PlanArena::new();
         arena.grow_to(2);
@@ -1052,9 +1009,10 @@ mod tests {
     }
 
     #[test]
-    fn arena_restore_after_touch_or_reset_recovers_every_slot() {
+    fn arena_restore_after_touch_or_rewind_recovers_every_slot() {
         let mut arena: PlanArena<W> = PlanArena::new();
         arena.grow_to(4);
+        let empty = arena.snapshot();
         for i in 0..4 {
             arena.slot_mut(i).push_effect_ref(i as u32);
         }
@@ -1062,7 +1020,8 @@ mod tests {
         arena.slot_mut(2).push_compute(Duration::from_micros(1));
         arena.restore_from(&snap);
         assert_eq!(arena.slot_mut(2).len(), 1);
-        arena.reset();
+        arena.restore_from(&empty);
+        assert!(arena.slot_mut(2).is_empty());
         arena.restore_from(&snap);
         for i in 0..4 {
             assert_eq!(arena.slot_mut(i).len(), 1);

@@ -147,13 +147,6 @@ impl RunnableControls {
         self.tasks.entry(name.to_string()).or_default()
     }
 
-    /// Resets every injection control to nominal (end of an injection
-    /// window); the global CPU scale is a platform property and persists.
-    pub fn reset(&mut self) {
-        self.runnables.clear();
-        self.tasks.clear();
-    }
-
     /// `true` if every runnable and task control is nominal (the global
     /// CPU scale is not an injection and does not count).
     pub fn is_nominal(&self) -> bool {
@@ -192,21 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_nominal() {
-        let mut c = RunnableControls::new();
-        c.runnable_mut(RunnableId(1)).skip = true;
-        c.task_mut("t").branch_override = Some(1);
-        c.reset();
-        assert!(c.is_nominal());
-    }
-
-    #[test]
-    fn global_scale_round_trips_and_survives_reset() {
+    fn global_scale_round_trips_and_is_not_an_injection() {
         let mut c = RunnableControls::new();
         assert_eq!(c.global_exec_scale_ppm(), 1_000_000);
         c.set_global_exec_scale_ppm(9_600_000);
-        c.runnable_mut(RunnableId(0)).skip = true;
-        c.reset();
         assert_eq!(c.global_exec_scale_ppm(), 9_600_000);
         assert!(c.is_nominal(), "global scale is not an injection");
     }

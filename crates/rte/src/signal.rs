@@ -79,21 +79,6 @@ impl SignalDb {
         id
     }
 
-    /// Restores every signal to the given value snapshot (index order) and
-    /// clears the update timestamps, as if the values had been the declared
-    /// initials — the state-restoration half of world pooling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length does not match the declared signals.
-    pub fn restore(&mut self, values: &[f64]) {
-        assert_eq!(values.len(), self.slots.len(), "snapshot covers all signals");
-        for (slot, &value) in self.slots.iter_mut().zip(values) {
-            slot.value = value;
-            slot.updated_at = Instant::ZERO;
-        }
-    }
-
     /// Looks up a signal id by name.
     pub fn id_of(&self, name: &str) -> Option<SignalId> {
         self.by_name.get(name).copied()
@@ -305,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_recovers_written_and_pooled_signals() {
+    fn snapshot_restore_recovers_written_signals() {
         let mut db = SignalDb::new();
         let a = db.declare("a", 1.0);
         let b = db.declare("b", 2.0);
@@ -321,8 +306,11 @@ mod tests {
         assert_eq!(db.read(c), 3.0);
         assert_eq!(db.updated_at(b), Instant::ZERO);
 
-        // After a pooled-world restore the snapshot still lands exactly.
-        db.restore(&[0.0, 0.0, 0.0]);
+        // After every signal was overwritten the snapshot still lands
+        // exactly.
+        for id in [a, b, c] {
+            db.write(id, 0.0, Instant::from_millis(7));
+        }
         db.restore_from(&snap);
         assert_eq!(db.read(a), 10.0);
         assert_eq!(db.updated_at(a), Instant::from_millis(1));

@@ -205,30 +205,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Empties the queue while retaining all allocated slot capacity and
-    /// resetting the cursor/sequence state to that of a fresh queue. A
-    /// cleared queue schedules and pops exactly like [`EventQueue::new`]
-    /// (same ids, same order) but re-arming the periodic-alarm workload
-    /// after a reset allocates nothing — the campaign engine's pooled
-    /// `Os::reset` relies on this.
-    pub fn clear(&mut self) {
-        self.cursor = 0;
-        for bucket in &mut self.slots {
-            bucket.clear();
-        }
-        self.occupied = [0; LEVELS];
-        // Retire overflow-window buffers into the spare pool so the next
-        // horizon's windows (or a later restore) reopen allocation-free.
-        while let Some((_, ring)) = self.overflow.pop_first() {
-            self.window_spare.push(ring);
-        }
-        self.past.clear();
-        self.head = None;
-        self.next_seq = 0;
-        self.live = 0;
-        self.cancelled.clear();
-    }
-
     /// Schedules `payload` to fire at `at`. Returns a handle for [`cancel`].
     ///
     /// Events scheduled for the same instant fire in the order they were
@@ -800,27 +776,6 @@ mod tests {
         // Re-arm again after popping; the queue stays usable.
         q.schedule(t(20_000), "again");
         assert_eq!(q.pop(), Some((t(20_000), "again")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn clear_replays_like_a_fresh_queue() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(10), "a");
-        q.schedule(t(1 << 26), "overflow");
-        q.schedule(t(5), "past-maker");
-        assert_eq!(q.pop(), Some((t(5), "past-maker")));
-        q.schedule(t(3), "behind");
-        assert!(q.cancel(a));
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        // Ids and ordering restart exactly as on a fresh queue.
-        let first = q.schedule(t(30), "x");
-        assert_eq!(first.raw(), 0);
-        q.schedule(t(20), "y");
-        assert_eq!(q.pop(), Some((t(20), "y")));
-        assert_eq!(q.pop(), Some((t(30), "x")));
         assert_eq!(q.pop(), None);
     }
 

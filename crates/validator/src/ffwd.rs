@@ -7,11 +7,12 @@
 //! * the `EASIS_FASTFORWARD` opt-out knob, read once (`=0` disables
 //!   macro-stepping for every node that has no explicit
 //!   [`crate::node::CentralNode::set_fastforward`] override);
-//! * the aggregate metrics the campaign bench reads. Campaign workers are
-//!   short-lived threads with thread-local node pools, so per-node
-//!   counters die with their worker — every `run_span` folds its counters
-//!   into one process-wide [`FfwdMetrics`] instead, and the bench brackets
-//!   a measured run with [`reset_metrics`]/[`metrics`].
+//! * the aggregate metrics the campaign bench reads. Each campaign worker
+//!   is a short-lived thread whose node lives only for that worker's
+//!   runner call, so per-node counters die with it — every `run_span`
+//!   folds its counters into one process-wide [`FfwdMetrics`] instead,
+//!   and the bench brackets a measured run with
+//!   [`reset_metrics`]/[`metrics`].
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 

@@ -36,7 +36,6 @@ use easis_watchdog::report::{DetectedFault, RunnableCounters, StateChange};
 use easis_watchdog::{CycleReport, SoftwareWatchdog, WatchdogCycleDelta, WatchdogSnapshot};
 use easis_baselines::hw_watchdog::{HardwareWatchdog, HwCycleDelta};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Configuration of a central node build.
@@ -135,20 +134,14 @@ const WHEEL_ROTATION_BITS: u32 = 24;
 /// A campaign-shared node recipe: the node configuration plus the
 /// watchdog configuration compiled from it exactly once (IdIndex
 /// interning, flow-table bitsets, hypothesis derivation), frozen behind an
-/// `Arc`. A campaign compiles one blueprint and every worker builds (and
-/// then pools) its node from it, so no trial recompiles what the plan
-/// already determines.
+/// `Arc`. A campaign compiles one blueprint and every worker builds its
+/// node from it, so no worker recompiles what the plan already
+/// determines.
 #[derive(Debug, Clone)]
 pub struct NodeBlueprint {
     config: NodeConfig,
     watchdog_config: Arc<easis_watchdog::config::WatchdogConfig>,
-    /// Process-unique stamp identifying this compilation, used as the
-    /// pool key so a pooled world is never revived for a *different*
-    /// blueprint that happens to reuse a freed allocation address.
-    stamp: u64,
 }
-
-static BLUEPRINT_STAMP: AtomicU64 = AtomicU64::new(0);
 
 impl NodeBlueprint {
     /// Compiles the blueprint for a node configuration by running one
@@ -158,7 +151,6 @@ impl NodeBlueprint {
         NodeBlueprint {
             config,
             watchdog_config: node.world.watchdog.shared_config(),
-            stamp: BLUEPRINT_STAMP.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -170,11 +162,6 @@ impl NodeBlueprint {
     /// The shared compiled watchdog configuration.
     pub fn watchdog_config(&self) -> &Arc<easis_watchdog::config::WatchdogConfig> {
         &self.watchdog_config
-    }
-
-    /// The process-unique compilation stamp (pool cache key).
-    pub fn stamp(&self) -> u64 {
-        self.stamp
     }
 }
 
@@ -536,30 +523,10 @@ impl CentralNode {
         }
     }
 
-    /// Resets the node to its just-built state so it can be `start()`ed
-    /// again: kernel back to cold (tasks suspended, alarms disarmed,
-    /// timers empty, trace cleared), world back to the initial snapshot,
-    /// baseline monitor statistics cleared. The expensive structure —
-    /// task bodies, the runnable registry, the compiled watchdog
-    /// configuration — is kept. Campaigns pool one node per worker and
-    /// reset it between trials; [`crate::scenario`]'s reset≡fresh property
-    /// test pins that a trial on a reset node is byte-identical to one on
-    /// a fresh build.
-    pub fn reset(&mut self) {
-        self.os.reset();
-        self.world.reset();
-        self.deadline_monitor.reset();
-        self.exec_monitor.reset();
-        self.started = false;
-        self.ffwd.backoff = 0;
-        self.ffwd.injection_armed = false;
-        self.ffwd.stats = FfwdStats::default();
-        self.ffwd.breakdown = FfwdBreakdown::default();
-    }
-
     /// Captures a deterministic checkpoint of the started node — see
-    /// [`CentralNode::snapshot_into`]. Allocates a fresh snapshot; pooled
-    /// campaign workers keep one [`NodeSnapshot`] per slot and reuse it.
+    /// [`CentralNode::snapshot_into`]. Allocates a fresh snapshot; the
+    /// forked campaign runner keeps one [`NodeSnapshot`] per worker and
+    /// refills it.
     ///
     /// # Panics
     ///
@@ -601,11 +568,10 @@ impl CentralNode {
 
     /// Restores the node to a previously captured checkpoint. Only valid
     /// on the node the snapshot was taken from or a structurally identical
-    /// one (same blueprint) — the shared prefix cache restores one
-    /// worker's checkpoint onto another worker's node; the kernel layer
-    /// asserts the table shapes it can check cheaply. Every component is
-    /// copied back in full with `clone_from`, so a pooled node's capacity
-    /// survives repeated restores and a warm restore allocates nothing.
+    /// one (same blueprint); the kernel layer asserts the table shapes it
+    /// can check cheaply. Every component is copied back in full with
+    /// `clone_from`, so the node's capacity survives repeated restores and
+    /// a warm restore allocates nothing.
     pub fn restore_from(&mut self, snap: &NodeSnapshot) {
         self.os.restore_from(&snap.os);
         self.world.signals.restore_from(&snap.signals);
@@ -871,14 +837,13 @@ impl CentralNode {
         self.ffwd.injection_armed = armed;
     }
 
-    /// This node's macro-stepping counters since build or
-    /// [`CentralNode::reset`].
+    /// This node's macro-stepping counters since build.
     pub fn ffwd_stats(&self) -> FfwdStats {
         self.ffwd.stats
     }
 
     /// Why this node's macro-stepping fell back, by reason, and how much
-    /// armed time it skipped, since build or [`CentralNode::reset`].
+    /// armed time it skipped, since build.
     pub fn ffwd_breakdown(&self) -> FfwdBreakdown {
         self.ffwd.breakdown
     }
@@ -1243,7 +1208,7 @@ impl NodeSnapshot {
 /// rewrites the `f64` values in place before lending the frame to the FMF
 /// by reference. A fault-detecting cycle therefore allocates only where
 /// genuinely new state is born (first occurrence of a DTC code, growth of
-/// the world's fault/treatment logs past their pooled capacity).
+/// the world's fault/treatment logs past their retained capacity).
 ///
 /// All of these are per-cycle scratch — cleared or overwritten before each
 /// use — so they carry no state across cycles and are deliberately outside

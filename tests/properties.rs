@@ -667,7 +667,7 @@ enum EffectSpec {
 
 /// Shared world for the arena-vs-boxed equivalence runs: per-task counters,
 /// a cost meter charged by every effect, and an ordered observation log.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct EquivWorld {
     counters: Vec<u64>,
     meter: CostMeter,
@@ -797,12 +797,11 @@ fn build_equiv_os(
     os
 }
 
-/// Starts `os` on a fresh world, arms every cyclic alarm and runs to the
-/// horizon; returns the world for observation.
-fn run_equiv_os(
+/// Starts `os` on a fresh world and arms every cyclic alarm; returns the
+/// world the run continues on.
+fn start_equiv_os(
     os: &mut easis::osek::kernel::Os<EquivWorld>,
     specs: &[EquivTaskSpec],
-    horizon: Instant,
 ) -> EquivWorld {
     use easis::osek::alarm::AlarmId;
     let mut world = EquivWorld {
@@ -813,9 +812,8 @@ fn run_equiv_os(
     for (idx, spec) in specs.iter().enumerate() {
         let period = Duration::from_millis(spec.period_ms);
         os.set_rel_alarm(AlarmId(idx as u32), period, Some(period))
-            .expect("alarm arms on a fresh/reset OS");
+            .expect("alarm arms on a fresh OS");
     }
-    os.run_until(horizon, &mut world);
     world
 }
 
@@ -826,8 +824,9 @@ proptest! {
     /// boxed-closure reference style they replaced: over randomized task
     /// sets (priorities, periods, compute costs, effect mixes) the kernel
     /// trace, the world counters/log and the `CostMeter` charges are
-    /// bit-identical — and stay so when the arena OS is `reset()` and the
-    /// campaign is replayed on the retained (capacity-warm) buffers.
+    /// bit-identical — and stay so when the arena OS is restored to its
+    /// post-start checkpoint and the run is replayed on the retained
+    /// (capacity-warm) buffers.
     #[test]
     fn arena_bodies_match_boxed_closure_reference(
         raw_tasks in prop::collection::vec(
@@ -864,9 +863,12 @@ proptest! {
         let horizon = Instant::from_millis(horizon_ms);
 
         let mut reference_os = build_equiv_os(&specs, false);
-        let reference_world = run_equiv_os(&mut reference_os, &specs, horizon);
+        let mut reference_world = start_equiv_os(&mut reference_os, &specs);
+        reference_os.run_until(horizon, &mut reference_world);
         let mut arena_os = build_equiv_os(&specs, true);
-        let arena_world = run_equiv_os(&mut arena_os, &specs, horizon);
+        let mut arena_world = start_equiv_os(&mut arena_os, &specs);
+        let (started_os, started_world) = (arena_os.snapshot(), arena_world.clone());
+        arena_os.run_until(horizon, &mut arena_world);
 
         prop_assert_eq!(
             arena_os.trace().events(),
@@ -877,14 +879,16 @@ proptest! {
         prop_assert_eq!(&arena_world.log, &reference_world.log, "effect order diverged");
         prop_assert_eq!(&arena_world.meter, &reference_world.meter, "cost charges diverged");
 
-        // Campaign replay: reset the arena OS (slots keep their capacity)
-        // and run the identical scenario again — still bit-identical.
-        arena_os.reset();
-        let replay_world = run_equiv_os(&mut arena_os, &specs, horizon);
+        // Campaign replay: restore the arena OS to its post-start
+        // checkpoint (slots keep their capacity) and run the identical
+        // scenario again — still bit-identical.
+        arena_os.restore_from(&started_os);
+        let mut replay_world = started_world;
+        arena_os.run_until(horizon, &mut replay_world);
         prop_assert_eq!(
             arena_os.trace().events(),
             reference_os.trace().events(),
-            "trace diverged after arena reset replay"
+            "trace diverged after arena restore replay"
         );
         prop_assert_eq!(&replay_world.counters, &reference_world.counters);
         prop_assert_eq!(&replay_world.log, &reference_world.log);
@@ -895,57 +899,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// World pooling is invisible: a trial on a pooled node — built from a
-    /// campaign blueprint, dirtied by a different trial, then `reset()` —
-    /// produces an outcome byte-identical to the same trial on a freshly
-    /// built node. Few cases: every case builds full central nodes and
-    /// simulates several hundred milliseconds.
-    #[test]
-    fn pooled_reset_trial_equals_fresh_build_trial(
-        seed in any::<u64>(),
-        test_pick in any::<u32>(),
-        dirty_pick in any::<u32>(),
-    ) {
-        use easis::validator::node::NodeBlueprint;
-        use easis::validator::scenario::{campaign_node_config, run_trial, run_trial_pooled};
-        let horizon = Instant::from_millis(700);
-        let plan = CampaignBuilder::new(seed, (0..9).map(RunnableId).collect())
-            .loop_targets(vec![RunnableId(4), RunnableId(7)])
-            .trials_per_class(1)
-            .window(Instant::from_millis(200), Duration::from_millis(200))
-            .with_horizon(horizon)
-            .build();
-        let trials = plan.trials();
-        let spec = &trials[test_pick as usize % trials.len()];
-        let dirty = &trials[dirty_pick as usize % trials.len()];
-        let fresh = run_trial(spec, horizon);
-        let blueprint = NodeBlueprint::compile(campaign_node_config());
-        // Dirty the pooled world with an unrelated trial first, so the
-        // comparison exercises reset-from-a-faulted state, not first-use.
-        let _ = run_trial_pooled(&blueprint, dirty, horizon);
-        let pooled = run_trial_pooled(&blueprint, spec, horizon);
-        prop_assert_eq!(&fresh, &pooled, "pooled reset diverged from fresh build");
-        prop_assert_eq!(
-            serde_json::to_string_pretty(&fresh).unwrap(),
-            serde_json::to_string_pretty(&pooled).unwrap(),
-            "JSON bytes diverged"
-        );
-    }
-
     /// Golden-run prefix checkpointing is invisible: a random campaign run
     /// through the snapshot-forking engine (`run_plan` — golden prefix
     /// simulated once, every trial restored from a fork-point
     /// `NodeSnapshot`, behavior-identical tails collapsed) produces stats
-    /// byte-identical to per-trial fresh builds and to the pooled
-    /// per-trial engine, at any worker count. Few cases: every case
-    /// simulates a whole (small) campaign three times over.
+    /// byte-identical to per-trial fresh builds (the `run_trial` oracle),
+    /// at any worker count. Few cases: every case simulates a whole
+    /// (small) campaign twice over.
     #[test]
-    fn forked_snapshot_replay_equals_fresh_and_pooled_runs(
+    fn forked_snapshot_replay_equals_fresh_runs(
         seed in any::<u64>(),
         trials_per_class in 1usize..3,
         workers in 1usize..=4,
     ) {
-        use easis::validator::scenario::{run_plan, run_plan_pooled, run_trial};
+        use easis::validator::scenario::{run_plan, run_trial};
         let horizon = Instant::from_millis(700);
         let plan = CampaignBuilder::new(seed, (0..9).map(RunnableId).collect())
             .loop_targets(vec![RunnableId(4), RunnableId(7)])
@@ -956,9 +923,7 @@ proptest! {
         let fresh = CampaignExecutor::serial().run(&plan, |spec| run_trial(spec, horizon));
         let executor = CampaignExecutor::new(workers);
         let forked = run_plan(&plan, horizon, &executor);
-        let pooled = run_plan_pooled(&plan, horizon, &executor);
         prop_assert_eq!(&fresh, &forked, "forked diverged from fresh at {} workers", workers);
-        prop_assert_eq!(&fresh, &pooled, "pooled diverged from fresh");
         prop_assert_eq!(
             serde_json::to_string_pretty(&fresh).unwrap(),
             serde_json::to_string_pretty(&forked).unwrap(),
@@ -967,12 +932,11 @@ proptest! {
     }
 
     /// The forked engine's campaign report does not depend on how the
-    /// plan is chunked: with multi-trial chunks a worker's slot captures
-    /// at one fork instant, restores, advances to the next fork and
-    /// captures again, so its restores interleave across checkpoints;
-    /// with chunk size 1 every trial `reset()`s the node and restores a
-    /// checkpoint that another worker may have captured through the
-    /// shared prefix cache. Both reports equal the fresh per-trial
+    /// plan is chunked: the chunk size decides which trials share a
+    /// worker's stripe, so it moves every fork instant a worker's node
+    /// captures, restores and advances through, and which twin of a
+    /// memoised tail runs first and on which worker. Reports at a random
+    /// chunk size and at chunk size 1 both equal the fresh per-trial
     /// reference byte for byte, over randomized plans, fork windows and
     /// worker counts. Few cases: every case simulates three whole
     /// campaigns.
