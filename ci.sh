@@ -94,12 +94,22 @@ if grep -rnE 'run_plan_pooled|run_plan_fresh|run_trial_pooled|NODE_POOL|PREFIX_P
   echo "a deleted campaign engine or its node pool crept back"; exit 1
 fi
 
+echo "==> timer queue stays one ordered vector (no wheel, no rotation cap)"
+# The kernel's timer queue is one vector in descending (time, seq) order.
+# The hierarchical timer wheel it replaced, and the macro-stepping cap at
+# its 2^24-us rotation boundary, were measured not to pay for themselves
+# and deleted; their names must not creep back.
+if grep -rnE 'insert_wheel|advance_to|TOP_SHIFT|WHEEL_ROTATION_BITS|RotationCap|rotation_cap' \
+     crates/ src/ tests/ examples/; then
+  echo "the timer wheel or its rotation cap crept back"; exit 1
+fi
+
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
 # The full soak defaults to two simulated hours; one simulated minute
-# still crosses several 2^24-us timer-wheel rotations, so the overflow
-# cascade path — including the long-horizon central-node scenario that
-# injects a fault across the rotation boundary — is exercised on every
-# CI run.
+# still spans several multiples of 2^24 us and a 60 s alarm, so timers
+# scheduled tens of seconds ahead — including the long-horizon
+# central-node scenario that injects a fault across 2^24 us — are
+# exercised on every CI run.
 EASIS_SOAK_HORIZON_MS=60000 cargo test -q --test soak
 
 echo "==> campaign golden across worker/chunk/fast-forward configurations (forked path)"

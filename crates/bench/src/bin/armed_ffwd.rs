@@ -43,7 +43,6 @@ struct Row {
     delta_mismatch_per_trial: f64,
     threshold_cap_per_trial: f64,
     age_out_cap_per_trial: f64,
-    rotation_cap_per_trial: f64,
 }
 
 /// Per-class sums, turned into a [`Row`] at the end.
@@ -146,7 +145,6 @@ fn main() {
                 s.reasons.delta_mismatch += why.delta_mismatch - reasons.delta_mismatch;
                 s.reasons.threshold_cap += why.threshold_cap - reasons.threshold_cap;
                 s.reasons.age_out_cap += why.age_out_cap - reasons.age_out_cap;
-                s.reasons.rotation_cap += why.rotation_cap - reasons.rotation_cap;
                 s.wall_on += wall;
             } else {
                 s.wall_off += wall;
@@ -176,7 +174,6 @@ fn main() {
                 delta_mismatch_per_trial: per(s.reasons.delta_mismatch),
                 threshold_cap_per_trial: per(s.reasons.threshold_cap),
                 age_out_cap_per_trial: per(s.reasons.age_out_cap),
-                rotation_cap_per_trial: per(s.reasons.rotation_cap),
             }
         })
         .collect();

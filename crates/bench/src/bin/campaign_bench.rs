@@ -285,8 +285,8 @@ struct TailFastforwardProbe {
     /// forked headline reps that was fast-forwarded by certified
     /// hyperperiod jumps. Asserted > 0 at the full campaign.
     ffwd_span_fraction: f64,
-    /// Rejected certifications plus rotation-boundary crossings simulated
-    /// event-by-event during the forked headline reps.
+    /// Rejected certifications plus threshold and age-out crossings
+    /// simulated event-by-event during the forked headline reps.
     fallbacks: u64,
     /// Successful certifications during the forked headline reps.
     certifications: u64,
@@ -400,7 +400,7 @@ fn measure_trial_allocs(blueprint: &NodeBlueprint, spec: &TrialSpec, horizon: In
         extract_outcome(&node, spec)
     };
     // Warm the node: the first trials grow every retained buffer (arena
-    // slots, timer wheel, logs, fault records) to the steady state of
+    // slots, timer queue, logs, fault records) to the steady state of
     // this horizon and fault profile.
     for _ in 0..3 {
         black_box(trial());

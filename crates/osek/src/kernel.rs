@@ -432,7 +432,7 @@ impl<W> Os<W> {
 
     /// [`Os::snapshot`] into a caller-owned buffer whose capacity is
     /// retained across captures: TCB rows are updated in place, the timer
-    /// wheel, trace and arena reuse their vectors, so re-capturing into a
+    /// queue, trace and arena reuse their vectors, so re-capturing into a
     /// warm buffer is allocation-free in steady state. Capture has no
     /// side effects, so the macro-stepping engine samples its hyperperiod
     /// images through this same call.
@@ -498,8 +498,8 @@ impl<W> Os<W> {
     }
 
     /// Restores runtime state captured by [`Os::snapshot`], after which the
-    /// OS replays exactly like the snapshotted one. Buffers (timer wheel
-    /// slots, ready bands, arena plan slots) are restored in place with
+    /// OS replays exactly like the snapshotted one. Buffers (timer
+    /// entries, ready bands, arena plan slots) are restored in place with
     /// their capacity retained, so a restore on the campaign hot path is
     /// allocation-free once buffers have reached steady-state size.
     ///
@@ -566,7 +566,7 @@ impl<W> Os<W> {
     /// Applies a certified [`CycleProgram`] `k` times in closed form: the
     /// clock and busy meter advance `k` hyperperiods, per-task activation
     /// counters and ready keys accumulate their per-hyperperiod deltas, and
-    /// the timer wheel shifts every pending entry — deadline checks carry
+    /// the timer queue shifts every pending entry — deadline checks carry
     /// their task's activation-sequence shift. O(tasks + pending timers),
     /// independent of how many events the skipped span would have fired.
     ///
@@ -1365,11 +1365,9 @@ impl OsSnapshot {
     }
 
     /// Appends a canonical rendering of the captured kernel
-    /// state to `out`. Timer entries are listed in logical `(time, seq)`
-    /// pop order rather than physical wheel layout — a hyperperiod
-    /// macro-jump re-buckets the wheel relative to the jumped cursor, so
-    /// only the logical view is comparable across fast-forwarded and
-    /// event-by-event runs. Equivalence tests hash/compare this rendering.
+    /// state to `out`, timer entries in `(time, seq)` pop order.
+    /// Equivalence tests between fast-forwarded and event-by-event runs
+    /// hash/compare this rendering.
     pub fn canonical_fmt(&self, out: &mut String) {
         use std::fmt::Write;
         let _ = writeln!(
@@ -1402,12 +1400,10 @@ impl OsSnapshot {
         let _ = writeln!(out, "alarms={:?}", self.alarms);
         let _ = writeln!(out, "resources={:?}", self.resource_holders);
         let _ = writeln!(out, "bands={:?}", self.ready_bands);
-        let mut entries = Vec::new();
-        self.timers.collect_entries(&mut entries);
+        let entries: Vec<_> = self.timers.entries().collect();
         let _ = writeln!(
             out,
-            "timers cursor={} next_seq={} entries={entries:?}",
-            self.timers.cursor_micros(),
+            "timers next_seq={} entries={entries:?}",
             self.timers.next_seq(),
         );
         for (i, slot) in self.arena.slots().iter().enumerate() {
@@ -1422,20 +1418,19 @@ impl OsSnapshot {
     /// images taken exactly `h` apart, writing it into `program` and
     /// returning `true` — or returns `false` when the samples are not
     /// steady-state-equivalent (a behavior-feeding field differs, an event
-    /// is pending in one but not the other, a cancellation or behind-cursor
-    /// timer entry exists, a counter moved non-uniformly). Every condition
-    /// checked here is one the closed-form application of `program` relies
-    /// on, so a `true` result plus one guard hyperperiod (derive again from
-    /// the next sample and require the identical program) certifies the
-    /// jump bit-exactly.
+    /// is pending in one but not the other, a cancellation is pending, a
+    /// counter moved non-uniformly). Every condition checked here is one
+    /// the closed-form application of `program` relies on, so a `true`
+    /// result plus one guard hyperperiod (derive again from the next
+    /// sample and require the identical program) certifies the jump
+    /// bit-exactly.
     ///
-    /// Reuses `scratch`'s buffers and `program`'s vectors; steady-state
-    /// certification allocates nothing once warm.
+    /// Reuses `program`'s vectors; steady-state certification allocates
+    /// nothing once warm.
     pub fn derive_cycle_program(
         a: &OsSnapshot,
         b: &OsSnapshot,
         h: Duration,
-        scratch: &mut CycleScratch,
         program: &mut CycleProgram,
     ) -> bool {
         if !a.started
@@ -1479,31 +1474,21 @@ impl OsSnapshot {
                 d_ready_key: tb.ready_key - ta.ready_key,
             });
         }
-        // Timer wheel: logical content must match entry-for-entry under a
+        // Timers: the pending entries must match one for one under a
         // uniform (h, d_seq) shift, with deadline-check payloads carrying
-        // their task's activation shift. Behind-cursor entries or pending
-        // cancellations are transients (e.g. a cancelled alarm's stale
-        // expiry) — reject and let the engine back off until they drain.
+        // their task's activation shift. Pending cancellations are
+        // transients — reject and let the engine back off until they drain.
         let ta = &a.timers;
         let tb = &b.timers;
-        if !ta.past_is_empty()
-            || !tb.past_is_empty()
-            || !ta.cancelled_is_empty()
+        if !ta.cancelled_is_empty()
             || !tb.cancelled_is_empty()
-            || tb.cursor_micros() != ta.cursor_micros() + h.as_micros()
             || tb.next_seq() < ta.next_seq()
+            || ta.entries().len() != tb.entries().len()
         {
             return false;
         }
         program.d_seq = tb.next_seq() - ta.next_seq();
-        ta.collect_entries(&mut scratch.entries_a);
-        tb.collect_entries(&mut scratch.entries_b);
-        if scratch.entries_a.len() != scratch.entries_b.len() {
-            return false;
-        }
-        for (&(at, aseq, aev), &(bt, bseq, bev)) in
-            scratch.entries_a.iter().zip(&scratch.entries_b)
-        {
+        for (&(at, aseq, aev), &(bt, bseq, bev)) in ta.entries().zip(tb.entries()) {
             if bt != at + h.as_micros() || bseq != aseq + program.d_seq {
                 return false;
             }
@@ -1544,15 +1529,6 @@ pub struct CycleProgram {
     d_front: i64,
     d_seq: u64,
     per_task: Vec<TaskCycleDelta>,
-}
-
-/// Reusable buffers for [`OsSnapshot::derive_cycle_program`]'s logical
-/// timer-entry comparison; keep one per macro-stepping engine so warm
-/// certification attempts allocate nothing.
-#[derive(Debug, Default)]
-pub struct CycleScratch {
-    entries_a: Vec<(u64, u64, KernelEvent)>,
-    entries_b: Vec<(u64, u64, KernelEvent)>,
 }
 
 impl std::fmt::Debug for OsSnapshot {

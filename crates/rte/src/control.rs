@@ -78,7 +78,7 @@ pub struct TaskControl {
 /// assert_eq!(controls.runnable(RunnableId(2)).exec_scale_ppm, 3_000_000);
 /// assert!(controls.runnable(RunnableId(7)).is_nominal());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunnableControls {
     runnables: Vec<RunnableControl>,
     tasks: BTreeMap<String, TaskControl>,
@@ -87,6 +87,24 @@ pub struct RunnableControls {
     /// on a slower CPU (e.g. the outlook's 50 MHz S12XF instead of the
     /// 480 MHz AutoBox ⇒ ~9.6e6 ppm).
     global_exec_scale_ppm: u64,
+}
+
+impl Clone for RunnableControls {
+    fn clone(&self) -> Self {
+        RunnableControls {
+            runnables: self.runnables.clone(),
+            tasks: self.tasks.clone(),
+            global_exec_scale_ppm: self.global_exec_scale_ppm,
+        }
+    }
+
+    /// Field-wise, so a checkpoint restore onto a warm store keeps the
+    /// per-runnable vector's capacity instead of replacing the vector.
+    fn clone_from(&mut self, source: &Self) {
+        self.runnables.clone_from(&source.runnables);
+        self.tasks.clone_from(&source.tasks);
+        self.global_exec_scale_ppm = source.global_exec_scale_ppm;
+    }
 }
 
 impl Default for RunnableControls {
@@ -197,6 +215,21 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_global_scale_rejected() {
         RunnableControls::new().set_global_exec_scale_ppm(0);
+    }
+
+    #[test]
+    fn clone_from_keeps_the_runnable_vector_capacity() {
+        let mut source = RunnableControls::new();
+        source.runnable_mut(RunnableId(2)).skip = true;
+        source.task_mut("SafeSpeedTask").branch_override = Some(1);
+        let mut warm = RunnableControls::new();
+        warm.runnable_mut(RunnableId(9)).exec_scale_ppm = 2_000_000;
+        warm.set_global_exec_scale_ppm(3_000_000);
+        let capacity = warm.runnables.capacity();
+        assert!(capacity > source.runnables.len());
+        warm.clone_from(&source);
+        assert_eq!(warm.runnables.capacity(), capacity);
+        assert_eq!(warm, source);
     }
 
     #[test]

@@ -5,18 +5,17 @@
 //! container internals. The queue is generic over the event payload, letting
 //! each layer (OS kernel, bus, vehicle model) define its own event vocabulary.
 //!
-//! Internally the queue is a hierarchical timer wheel tuned for the periodic
-//! alarm workload of the OSEK kernel: each of the `LEVELS` levels has 64
-//! slots of 64^level microseconds, so an event lands in a bucket with a
-//! single shift/mask and the earliest pending time is found with a
-//! trailing-zero count over the slot-occupancy bitmaps. Events beyond the top
-//! level go to a sorted overflow map and cascade into the wheel as the cursor
-//! reaches their window. The same-instant FIFO tie-break of the original
-//! binary-heap implementation (lowest sequence number first) is preserved
-//! exactly: every bucket scan resolves ties by sequence number.
+//! Internally the queue is one vector of `(time µs, seq, payload)` entries
+//! kept in descending `(time, seq)` order, so the next event to fire is the
+//! last element: `pop` and `peek_time` work at the tail and `schedule` is a
+//! binary search plus an insert. The OSEK kernel keeps only a handful of
+//! alarm expiries and deadline checks pending, so the insert's shift is a
+//! few words and a capture or restore is one vector copy. Cancellation is
+//! lazy, exactly like the binary heap the queue is tested against: a
+//! cancelled entry stays queued until it reaches the front.
 
 use crate::time::{Duration, Instant};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 /// Handle identifying a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,66 +28,22 @@ impl EventId {
     }
 }
 
-/// Bits per wheel level: 64 slots each.
-const LEVEL_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-const SLOT_MASK: u64 = SLOTS as u64 - 1;
-/// Wheel depth. Four levels cover 2^24 µs (~16.8 simulated seconds) past the
-/// cursor's top-level window; anything later overflows to a sorted map.
-const LEVELS: usize = 4;
-/// Shift selecting the top-level window of a time (events differing here from
-/// the cursor live in the overflow map).
-const TOP_SHIFT: u32 = LEVEL_BITS * LEVELS as u32;
-
-/// Where [`EventQueue::find_min`] located the earliest entry.
-#[derive(Clone, Copy)]
-enum Loc {
-    /// `past[idx]`.
-    Past(usize),
-    /// `slots[level * SLOTS + slot][idx]`.
-    Level { level: usize, slot: usize, idx: usize },
-    /// `overflow[&key][idx]`.
-    Overflow { key: u64, idx: usize },
-}
-
-/// One captured overflow window: the window key plus its
-/// `(time, seq, payload)` entries, exactly as the wheel stores them.
-type OverflowWindow<E> = (u64, Vec<(u64, u64, E)>);
-
 /// The pending state of an [`EventQueue`] captured by
-/// [`EventQueue::snapshot`] / [`EventQueue::snapshot_into`]. Opaque: its
-/// only consumer is [`EventQueue::restore_from`] on a queue of the same
-/// payload type. Overflow windows are stored as a sorted vector (not a
-/// `BTreeMap`) so repeated captures into the same buffer reuse the window
-/// vectors instead of reallocating map nodes.
+/// [`EventQueue::snapshot`] / [`EventQueue::snapshot_into`]. Its consumer
+/// is [`EventQueue::restore_from`] on a queue of the same payload type;
+/// the macro-stepping engine also reads the pending entries to compare
+/// two captures one hyperperiod apart.
 #[derive(Debug, Clone)]
 pub struct EventQueueSnapshot<E> {
-    cursor: u64,
-    slots: Vec<Vec<(u64, u64, E)>>,
-    occupied: [u64; LEVELS],
-    overflow: Vec<OverflowWindow<E>>,
-    past: Vec<(u64, u64, E)>,
-    head: Option<(u64, u64)>,
+    entries: Vec<(u64, u64, E)>,
     next_seq: u64,
-    live: usize,
     cancelled: HashSet<u64>,
 }
 
 impl<E> EventQueueSnapshot<E> {
-    /// Cursor (µs of the most recently popped wheel event) at capture time.
-    pub fn cursor_micros(&self) -> u64 {
-        self.cursor
-    }
-
     /// Next sequence number the queue would hand out at capture time.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// `true` if no entry was scheduled behind the cursor at capture time.
-    pub fn past_is_empty(&self) -> bool {
-        self.past.is_empty()
     }
 
     /// `true` if no cancellation was pending at capture time.
@@ -96,39 +51,19 @@ impl<E> EventQueueSnapshot<E> {
         self.cancelled.is_empty()
     }
 
-    /// Collects every pending `(time µs, seq, payload)` entry — wheel and
-    /// overflow — into `out`, sorted by `(time, seq)`, i.e. in exact pop
-    /// order. The wheel's *physical* bucket layout depends on the cursor
-    /// history and is not canonical; this logical view is what the
-    /// macro-stepping engine compares across hyperperiod samples (and what
-    /// canonical state digests hash). Reuses `out`'s capacity.
-    pub fn collect_entries(&self, out: &mut Vec<(u64, u64, E)>)
-    where
-        E: Clone,
-    {
-        out.clear();
-        for ring in &self.slots {
-            out.extend(ring.iter().cloned());
-        }
-        for (_, ring) in &self.overflow {
-            out.extend(ring.iter().cloned());
-        }
-        out.extend(self.past.iter().cloned());
-        out.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
+    /// Every pending `(time µs, seq, payload)` entry at capture time, in
+    /// exact pop order (cancelled entries included; see
+    /// [`EventQueueSnapshot::cancelled_is_empty`]).
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = &(u64, u64, E)> {
+        self.entries.iter().rev()
     }
 }
 
 impl<E> Default for EventQueueSnapshot<E> {
     fn default() -> Self {
         EventQueueSnapshot {
-            cursor: 0,
-            slots: Vec::new(),
-            occupied: [0; LEVELS],
-            overflow: Vec::new(),
-            past: Vec::new(),
-            head: None,
+            entries: Vec::new(),
             next_seq: 0,
-            live: 0,
             cancelled: HashSet::new(),
         }
     }
@@ -150,32 +85,12 @@ impl<E> Default for EventQueueSnapshot<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Time (µs) of the most recently popped wheel event. Every wheel and
-    /// overflow entry is at or after the cursor; entries scheduled behind it
-    /// live in `past`.
-    cursor: u64,
-    /// `LEVELS × SLOTS` buckets of `(time µs, seq, payload)`. Bucket order is
-    /// not significant: scans resolve `(time, seq)` explicitly.
-    slots: Vec<Vec<(u64, u64, E)>>,
-    /// Per-level slot-occupancy bitmaps (bit `s` set ⇔ slot `s` non-empty).
-    occupied: [u64; LEVELS],
-    /// Events beyond the top wheel window, keyed by `time >> TOP_SHIFT`.
-    overflow: BTreeMap<u64, Vec<(u64, u64, E)>>,
-    /// Events scheduled behind the cursor (time moved "backwards" relative to
-    /// the pop front). They precede every wheel entry, so ordering stays
-    /// exact; the kernel never schedules in the past, keeping this empty.
-    past: Vec<(u64, u64, E)>,
-    /// Cached `(time µs, seq)` of the verified-live head; `None` = unknown.
-    /// Makes the once-per-compute-slice `peek_time` O(1).
-    head: Option<(u64, u64)>,
-    /// Empty, capacity-retaining buffer swapped against a slot during a
-    /// cascade so draining never drops the slot's allocation.
-    cascade_scratch: Vec<(u64, u64, E)>,
-    /// Retired overflow-window buffers, recycled when a new window opens or
-    /// a restore reinserts one — overflow churn stays allocation-free warm.
-    window_spare: Vec<Vec<(u64, u64, E)>>,
+    /// Pending `(time µs, seq, payload)` entries in descending `(time, seq)`
+    /// order: the next entry to pop is the last one.
+    entries: Vec<(u64, u64, E)>,
     next_seq: u64,
-    live: usize,
+    /// Cancelled sequence numbers not yet purged from `entries` (or already
+    /// popped: like the reference heap, a cancel after firing is recorded).
     cancelled: HashSet<u64>,
 }
 
@@ -188,19 +103,9 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(LEVELS * SLOTS, Vec::new);
         EventQueue {
-            cursor: 0,
-            slots,
-            occupied: [0; LEVELS],
-            overflow: BTreeMap::new(),
-            past: Vec::new(),
-            head: None,
-            cascade_scratch: Vec::new(),
-            window_spare: Vec::new(),
+            entries: Vec::new(),
             next_seq: 0,
-            live: 0,
             cancelled: HashSet::new(),
         }
     }
@@ -215,67 +120,46 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let t = at.as_micros();
-        if let Some((head_at, _)) = self.head {
-            if t < head_at {
-                self.head = Some((t, seq));
-            }
-        }
-        if t < self.cursor {
-            self.past.push((t, seq, payload));
-        } else {
-            self.insert_wheel(t, seq, payload);
-        }
-        self.live += 1;
+        // A new seq is larger than every pending one, so the entry goes
+        // after all later times and before every same-instant entry: it
+        // pops after them (FIFO).
+        let idx = self.entries.partition_point(|e| e.0 > t);
+        self.entries.insert(idx, (t, seq, payload));
         EventId(seq)
     }
 
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending; cancelling twice (or after the event fired) returns
-    /// `false` and has no effect.
+    /// Cancels a previously scheduled event. Returns `false` for an id this
+    /// queue never issued and for a second cancel of the same id, which has
+    /// no effect. Like the lazy-cancellation binary heap the queue is tested
+    /// against, a first cancel after the event fired returns `true`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        if self.cancelled.insert(id.0) {
-            // The entry may have already popped; `live` is corrected lazily in
-            // `pop`, so only mark it here.
-            if self.head.is_some_and(|(_, seq)| seq == id.0) {
-                self.head = None;
-            }
-            true
-        } else {
-            false
-        }
+        id.0 < self.next_seq && self.cancelled.insert(id.0)
+    }
+
+    /// Whether `seq` was cancelled; consumes the cancellation.
+    fn take_cancelled(&mut self, seq: u64) -> bool {
+        !self.cancelled.is_empty() && self.cancelled.remove(&seq)
     }
 
     /// Removes and returns the earliest pending event, skipping cancelled ones.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        while let Some((at, seq, payload)) = self.remove_min() {
-            self.live = self.live.saturating_sub(1);
-            if self.cancelled.remove(&seq) {
-                continue;
+        while let Some((at, seq, payload)) = self.entries.pop() {
+            if !self.take_cancelled(seq) {
+                return Some((Instant::from_micros(at), payload));
             }
-            return Some((Instant::from_micros(at), payload));
         }
         None
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&mut self) -> Option<Instant> {
-        if let Some((at, _)) = self.head {
-            return Some(Instant::from_micros(at));
-        }
-        loop {
-            let (at, seq, loc) = self.find_min()?;
-            if self.cancelled.contains(&seq) {
-                self.remove_at(loc);
-                self.cancelled.remove(&seq);
-                self.live = self.live.saturating_sub(1);
-                continue;
+        while let Some(&(at, seq, _)) = self.entries.last() {
+            if !self.take_cancelled(seq) {
+                return Some(Instant::from_micros(at));
             }
-            self.head = Some((at, seq));
-            return Some(Instant::from_micros(at));
+            self.entries.pop();
         }
+        None
     }
 
     /// Number of pending (non-cancelled) events.
@@ -283,11 +167,7 @@ impl<E> EventQueue<E> {
     // intentionally deviates from the usual signatures.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
-        self.live.saturating_sub(
-            self.cancelled
-                .len()
-                .min(self.live),
-        )
+        self.entries.len().saturating_sub(self.cancelled.len())
     }
 
     /// `true` if no events are pending. (Takes `&mut self` because cancelled
@@ -302,13 +182,10 @@ impl<E> EventQueue<E> {
     // Snapshot / restore
     // ------------------------------------------------------------------
 
-    /// Captures the queue's complete pending state — cursor, every wheel
-    /// bucket, overflow windows, behind-cursor entries, the head cache and
-    /// the sequence/cancellation bookkeeping — so a later
+    /// Captures the queue's complete pending state — every entry and the
+    /// sequence/cancellation bookkeeping — so a later
     /// [`EventQueue::restore_from`] resumes scheduling and popping exactly
-    /// where the snapshot was taken (same ids, same order). The cascade
-    /// scratch buffer is transient (empty between operations) and is not
-    /// part of the snapshot.
+    /// where the snapshot was taken (same ids, same order).
     pub fn snapshot(&self) -> EventQueueSnapshot<E>
     where
         E: Clone,
@@ -318,7 +195,7 @@ impl<E> EventQueue<E> {
         snap
     }
 
-    /// Captures the queue's state into `snap`, reusing every buffer the
+    /// Captures the queue's state into `snap`, reusing the buffers the
     /// snapshot already owns — repeated captures into the same snapshot are
     /// allocation-free once warm. Capture has no side effects on the queue,
     /// so the campaign checkpoints and the macro-stepping engine's
@@ -327,312 +204,58 @@ impl<E> EventQueue<E> {
     where
         E: Clone,
     {
-        snap.cursor = self.cursor;
-        if snap.slots.len() != self.slots.len() {
-            snap.slots.clear();
-            snap.slots.resize_with(self.slots.len(), Vec::new);
-        }
-        for (dst, src) in snap.slots.iter_mut().zip(&self.slots) {
-            dst.clone_from(src);
-        }
-        snap.occupied = self.occupied;
-        snap.overflow.truncate(self.overflow.len());
-        while snap.overflow.len() < self.overflow.len() {
-            snap.overflow.push((0, Vec::new()));
-        }
-        for (dst, (key, ring)) in snap.overflow.iter_mut().zip(&self.overflow) {
-            dst.0 = *key;
-            dst.1.clone_from(ring);
-        }
-        snap.past.clone_from(&self.past);
-        snap.head = self.head;
+        snap.entries.clone_from(&self.entries);
         snap.next_seq = self.next_seq;
-        snap.live = self.live;
         snap.cancelled.clone_from(&self.cancelled);
     }
 
     /// Restores the queue to a previously captured snapshot. Buffers are
-    /// overwritten in place (`clone_from`, spare-pool recycling for
-    /// overflow windows), so restoring onto a warm queue allocates nothing
-    /// in steady state.
+    /// overwritten in place (`clone_from`), so restoring onto a warm queue
+    /// allocates nothing in steady state.
     pub fn restore_from(&mut self, snap: &EventQueueSnapshot<E>)
     where
         E: Clone,
     {
-        self.cursor = snap.cursor;
-        self.occupied = snap.occupied;
-        self.head = snap.head;
+        self.entries.clone_from(&snap.entries);
         self.next_seq = snap.next_seq;
-        self.live = snap.live;
-        if self.slots.len() != snap.slots.len() {
-            self.slots.clear();
-            self.slots.resize_with(snap.slots.len(), Vec::new);
-        }
-        for (dst, src) in self.slots.iter_mut().zip(&snap.slots) {
-            dst.clone_from(src);
-        }
-        self.past.clone_from(&snap.past);
         self.cancelled.clone_from(&snap.cancelled);
-        self.restore_overflow(&snap.overflow);
-    }
-
-    /// Rebuilds the overflow map from a snapshot's sorted window list,
-    /// recycling retired window buffers through the spare pool and
-    /// overwriting surviving windows in place.
-    fn restore_overflow(&mut self, src: &[OverflowWindow<E>])
-    where
-        E: Clone,
-    {
-        let spare = &mut self.window_spare;
-        self.overflow.retain(|key, ring| {
-            if src.binary_search_by_key(key, |&(k, _)| k).is_ok() {
-                true
-            } else {
-                spare.push(std::mem::take(ring));
-                false
-            }
-        });
-        for (key, ring) in src {
-            match self.overflow.entry(*key) {
-                std::collections::btree_map::Entry::Occupied(e) => {
-                    e.into_mut().clone_from(ring);
-                }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    let mut buf = self.window_spare.pop().unwrap_or_default();
-                    buf.clear();
-                    buf.extend(ring.iter().cloned());
-                    e.insert(buf);
-                }
-            }
-        }
     }
 
     /// Shifts every pending entry `shift` later in time and `seq_shift`
-    /// higher in sequence, advances the cursor by `shift`, and lets `fixup`
-    /// rewrite each payload in place (the kernel uses this to slide
-    /// per-activation sequence numbers carried inside deadline-check
-    /// events). This is the timer-wheel half of a hyperperiod macro-jump:
-    /// after the macro-stepping engine has proved the queue's logical
-    /// content at `t` and `t + H` identical up to these shifts, applying
-    /// them advances the queue k hyperperiods in O(pending) instead of
-    /// replaying every expiry.
-    ///
-    /// The wheel buckets are drained and every entry re-inserted relative
-    /// to the new cursor, so the physical layout after a jump can differ
-    /// from the layout event-by-event simulation would have produced; pop
-    /// order is `(time, seq)`-logical, so behavior is unaffected.
+    /// higher in sequence and lets `fixup` rewrite each payload in place
+    /// (the kernel uses this to slide per-activation sequence numbers
+    /// carried inside deadline-check events). This is the timer half of a
+    /// hyperperiod macro-jump: after the macro-stepping engine has proved
+    /// the queue's content at `t` and `t + H` identical up to these shifts,
+    /// applying them advances the queue k hyperperiods in O(pending)
+    /// instead of replaying every expiry. A uniform shift keeps the
+    /// entries' order, so they are rewritten in place.
     ///
     /// # Panics
     ///
-    /// Panics if any entry is behind the cursor or a cancellation is
-    /// pending — the macro-stepping guards reject such states before
-    /// certifying a jump, so reaching here with one is a caller bug.
+    /// Panics if a cancellation is pending — the macro-stepping guards
+    /// reject such states before certifying a jump, so reaching here with
+    /// one is a caller bug.
     pub fn fast_forward(&mut self, shift: Duration, seq_shift: u64, mut fixup: impl FnMut(&mut E)) {
-        assert!(
-            self.past.is_empty(),
-            "fast_forward with behind-cursor entries pending"
-        );
         assert!(
             self.cancelled.is_empty(),
             "fast_forward with cancellations pending"
         );
         let shift_us = shift.as_micros();
-        let mut entries = std::mem::take(&mut self.cascade_scratch);
-        debug_assert!(entries.is_empty());
-        for level in 0..LEVELS {
-            let mut bits = self.occupied[level];
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let idx = level * SLOTS + slot;
-                entries.append(&mut self.slots[idx]);
-            }
-            self.occupied[level] = 0;
+        for (t, seq, payload) in &mut self.entries {
+            *t += shift_us;
+            *seq += seq_shift;
+            fixup(payload);
         }
-        while let Some((_, mut ring)) = self.overflow.pop_first() {
-            entries.append(&mut ring);
-            self.window_spare.push(ring);
-        }
-        self.cursor += shift_us;
         self.next_seq += seq_shift;
-        self.head = None;
-        for (t, seq, mut payload) in entries.drain(..) {
-            fixup(&mut payload);
-            self.insert_wheel(t + shift_us, seq + seq_shift, payload);
-        }
-        self.cascade_scratch = entries;
     }
 
-    /// Total buffer capacity (in entries/elements) retained across the
-    /// wheel buckets, past list, overflow windows, spare pools and the
-    /// cancellation set. Steady-state workloads keep this constant across
-    /// repeated snapshot/restore cycles — the capacity-retention tests
-    /// assert on it.
+    /// Total buffer capacity (in entries/elements) retained by the entry
+    /// vector and the cancellation set. Steady-state workloads keep this
+    /// constant across repeated snapshot/restore cycles — the
+    /// capacity-retention tests assert on it.
     pub fn retained_capacity(&self) -> usize {
-        self.slots.iter().map(Vec::capacity).sum::<usize>()
-            + self.past.capacity()
-            + self.cascade_scratch.capacity()
-            + self.overflow.values().map(Vec::capacity).sum::<usize>()
-            + self.window_spare.iter().map(Vec::capacity).sum::<usize>()
-            + self.window_spare.capacity()
-            + self.cancelled.capacity()
-    }
-
-    // ------------------------------------------------------------------
-    // Wheel internals
-    // ------------------------------------------------------------------
-
-    /// Buckets an entry (`t >= cursor`) at the lowest level whose window
-    /// around the cursor contains it, or in the overflow map.
-    fn insert_wheel(&mut self, t: u64, seq: u64, payload: E) {
-        debug_assert!(t >= self.cursor);
-        for level in 0..LEVELS {
-            let window = LEVEL_BITS * (level as u32 + 1);
-            if t >> window == self.cursor >> window {
-                let slot = ((t >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as usize;
-                self.slots[level * SLOTS + slot].push((t, seq, payload));
-                self.occupied[level] |= 1u64 << slot;
-                return;
-            }
-        }
-        let spare = &mut self.window_spare;
-        self.overflow
-            .entry(t >> TOP_SHIFT)
-            .or_insert_with(|| {
-                // Spare buffers may still hold the entries of the retired
-                // window they came from; only their capacity is reused.
-                let mut buf = spare.pop().unwrap_or_default();
-                buf.clear();
-                buf
-            })
-            .push((t, seq, payload));
-    }
-
-    /// Locates the earliest `(time, seq)` entry without removing it.
-    ///
-    /// Ordering argument: `past` entries are strictly before the cursor and
-    /// therefore before every wheel entry; within the wheel, level `l` holds
-    /// only times inside the cursor's level-`l+1` window while level `l+1`
-    /// holds times beyond it, so the first non-empty level contains the
-    /// minimum, in its lowest occupied slot (slot indices do not wrap within
-    /// an aligned window); overflow windows come last, in key order.
-    fn find_min(&self) -> Option<(u64, u64, Loc)> {
-        fn scan<T>(ring: &[(u64, u64, T)]) -> usize {
-            let mut best = 0;
-            for i in 1..ring.len() {
-                if (ring[i].0, ring[i].1) < (ring[best].0, ring[best].1) {
-                    best = i;
-                }
-            }
-            best
-        }
-        if !self.past.is_empty() {
-            let idx = scan(&self.past);
-            let (at, seq, _) = self.past[idx];
-            return Some((at, seq, Loc::Past(idx)));
-        }
-        for level in 0..LEVELS {
-            let bits = self.occupied[level];
-            if bits == 0 {
-                continue;
-            }
-            let slot = bits.trailing_zeros() as usize;
-            let ring = &self.slots[level * SLOTS + slot];
-            let idx = scan(ring);
-            let (at, seq, _) = ring[idx];
-            return Some((at, seq, Loc::Level { level, slot, idx }));
-        }
-        if let Some((&key, ring)) = self.overflow.iter().next() {
-            let idx = scan(ring);
-            let (at, seq, _) = ring[idx];
-            return Some((at, seq, Loc::Overflow { key, idx }));
-        }
-        None
-    }
-
-    /// Physically removes the entry at `loc`, maintaining the bitmaps.
-    fn remove_at(&mut self, loc: Loc) -> (u64, u64, E) {
-        match loc {
-            Loc::Past(idx) => self.past.swap_remove(idx),
-            Loc::Level { level, slot, idx } => {
-                let ring = &mut self.slots[level * SLOTS + slot];
-                let entry = ring.swap_remove(idx);
-                if ring.is_empty() {
-                    self.occupied[level] &= !(1u64 << slot);
-                }
-                entry
-            }
-            Loc::Overflow { key, idx } => {
-                let ring = self.overflow.get_mut(&key).expect("overflow key present");
-                let entry = ring.swap_remove(idx);
-                if ring.is_empty() {
-                    let retired = self.overflow.remove(&key).expect("ring just accessed");
-                    self.window_spare.push(retired);
-                }
-                entry
-            }
-        }
-    }
-
-    /// Removes and returns the earliest entry (cancelled or not).
-    fn remove_min(&mut self) -> Option<(u64, u64, E)> {
-        self.head = None;
-        let (at, seq, loc) = self.find_min()?;
-        match loc {
-            // Entries behind the cursor pop directly; the cursor stays put.
-            Loc::Past(_) => Some(self.remove_at(loc)),
-            _ => {
-                // Advance the cursor to the event being popped: windows the
-                // cursor enters cascade down and the minimum lands in level 0.
-                self.advance_to(at);
-                let slot = (at & SLOT_MASK) as usize;
-                let idx = self.slots[slot]
-                    .iter()
-                    .position(|&(a, s, _)| a == at && s == seq)
-                    .expect("minimum present in level 0 after cascade");
-                Some(self.remove_at(Loc::Level { level: 0, slot, idx }))
-            }
-        }
-    }
-
-    /// Moves the cursor forward to `m` (the pending minimum) and cascades: at
-    /// each level the slot containing `m` is drained and its entries re-bucket
-    /// at a strictly lower level; an overflow window reaching the wheel is
-    /// migrated in. Safe because no pending entry precedes `m`: any slot the
-    /// drain touches holds only times sharing `m`'s window at that level.
-    fn advance_to(&mut self, m: u64) {
-        debug_assert!(m >= self.cursor);
-        if m == self.cursor {
-            return;
-        }
-        self.cursor = m;
-        if let Some(mut batch) = self.overflow.remove(&(m >> TOP_SHIFT)) {
-            for (t, seq, payload) in batch.drain(..) {
-                self.insert_wheel(t, seq, payload);
-            }
-            self.window_spare.push(batch);
-        }
-        for level in (1..LEVELS).rev() {
-            let slot = ((m >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as usize;
-            if self.occupied[level] & (1u64 << slot) == 0 {
-                continue;
-            }
-            // Swap the slot's buffer against the reusable cascade scratch
-            // instead of `mem::take`ing it: taking would drop the buffer
-            // (and its capacity) after the drain, costing an allocation per
-            // re-bucketed event in steady state. With the swap, capacities
-            // circulate between the scratch and the slots and the periodic
-            // alarm workload cascades allocation-free once warm.
-            let mut batch = std::mem::replace(
-                &mut self.slots[level * SLOTS + slot],
-                std::mem::take(&mut self.cascade_scratch),
-            );
-            self.occupied[level] &= !(1u64 << slot);
-            for (t, seq, payload) in batch.drain(..) {
-                self.insert_wheel(t, seq, payload);
-            }
-            self.cascade_scratch = batch;
-        }
+        self.entries.capacity() + self.cancelled.capacity()
     }
 }
 
@@ -721,11 +344,10 @@ mod tests {
 
     #[test]
     fn same_instant_fifo_survives_wheel_cascades() {
-        // Events at one far instant start two wheel levels up; popping the
-        // near marker first forces them to cascade down through the levels,
-        // which must not disturb their insertion order.
+        // Events at one far instant, behind a nearer marker: popping the
+        // marker first must not disturb their insertion order.
         let mut q = EventQueue::new();
-        let far = 3 * 4096 + 129; // level 2 relative to cursor 0
+        let far = 3 * 4096 + 129;
         for i in 0..32 {
             q.schedule(t(far), i);
         }
@@ -737,7 +359,7 @@ mod tests {
 
     #[test]
     fn far_future_events_beyond_top_level_pop_in_order() {
-        // 2^24 µs is the wheel horizon; these live in the overflow map.
+        // Times many multiples of 2^24 µs apart still pop in time order.
         let mut q = EventQueue::new();
         let horizon = 1u64 << 24;
         q.schedule(t(40 * horizon + 7), "second-window");
@@ -781,8 +403,8 @@ mod tests {
 
     #[test]
     fn snapshot_restore_replays_identically() {
-        // Build a queue with entries in every region: wheel, overflow,
-        // behind-cursor, plus a pending cancellation.
+        // Build a queue with near and far entries, one scheduled behind the
+        // last popped time, plus a pending cancellation.
         let mut q = EventQueue::new();
         q.schedule(t(1_000), "first");
         q.schedule(t(50_000), "later");
@@ -821,7 +443,7 @@ mod tests {
         let mut snap = EventQueueSnapshot::default();
         q.snapshot_into(&mut snap);
 
-        // Dirty a handful of buckets, then restore.
+        // Dirty the queue, then restore.
         for _ in 0..3 {
             q.pop();
         }
@@ -847,8 +469,8 @@ mod tests {
         for i in 0..32u64 {
             q.schedule(t(500 + 10 * i), i);
         }
-        // Two overflow windows plus behind-cursor and cancelled entries so
-        // every region is exercised.
+        // Far entries plus an entry behind the last popped time and a
+        // cancelled one.
         q.schedule(t(1 << 26), 100);
         q.schedule(t(3 << 26), 101);
         let doomed = q.schedule(t(800), 102);
@@ -858,9 +480,7 @@ mod tests {
         let mut snap = EventQueueSnapshot::default();
         q.snapshot_into(&mut snap);
 
-        // Cascade swaps circulate buffer capacities between wheel buckets,
-        // so the footprint needs a few churn+restore cycles to reach its
-        // fixed point; once warm, repeated restores must not grow anything.
+        // Once warm, repeated churn+restore cycles must not grow anything.
         let churn = |q: &mut EventQueue<u64>| {
             for _ in 0..8 {
                 q.pop();
@@ -882,13 +502,9 @@ mod tests {
         );
 
         // Capturing into the same snapshot buffer again is also stable.
-        let snap_cap: usize = snap.slots.iter().map(Vec::capacity).sum::<usize>()
-            + snap.overflow.iter().map(|(_, v)| v.capacity()).sum::<usize>()
-            + snap.past.capacity();
+        let snap_cap: usize = snap.entries.capacity() + snap.cancelled.capacity();
         q.snapshot_into(&mut snap);
-        let snap_cap_after: usize = snap.slots.iter().map(Vec::capacity).sum::<usize>()
-            + snap.overflow.iter().map(|(_, v)| v.capacity()).sum::<usize>()
-            + snap.past.capacity();
+        let snap_cap_after: usize = snap.entries.capacity() + snap.cancelled.capacity();
         assert_eq!(snap_cap, snap_cap_after);
     }
 
@@ -896,7 +512,7 @@ mod tests {
     fn fast_forward_matches_rescheduled_queue() {
         // A queue fast-forwarded by `shift` must pop exactly like a queue
         // whose entries were scheduled `shift` later to begin with,
-        // including overflow entries and same-instant FIFO ties.
+        // including far entries and same-instant FIFO ties.
         let shift = Duration::from_micros(40_000);
         let seqs = 3u64; // pretend 3 schedules happened during the span
         let mut q = EventQueue::new();
@@ -919,9 +535,49 @@ mod tests {
     }
 
     #[test]
+    fn fast_forward_by_a_huge_shift_matches_rescheduled_queue() {
+        // A shift of 2^30 µs (~17.9 simulated minutes) or more crosses many
+        // 2^24 µs multiples; a uniform shift of the ordered entries has no
+        // boundary to handle, so the queue must still pop exactly like one
+        // whose entries were scheduled that much later.
+        for shift_us in [1u64 << 30, (1 << 30) + 12_345, 5 << 32] {
+            let shift = Duration::from_micros(shift_us);
+            let seqs = 7u64;
+            let mut q = EventQueue::new();
+            let mut reference = EventQueue::new();
+            q.schedule(t(2_000), 0u64);
+            reference.schedule(t(2_000), 0u64);
+            assert_eq!(q.pop(), Some((t(2_000), 0)));
+            assert_eq!(reference.pop(), Some((t(2_000), 0)));
+            let pending = [
+                (3_000u64, 1u64),
+                (3_000, 2),
+                ((1 << 24) - 1, 3),
+                (1 << 24, 4),
+                ((1 << 24) + 500, 5),
+                (3 << 26, 6),
+            ];
+            for (at, tag) in pending {
+                q.schedule(t(at), tag);
+                reference.schedule(t(at + shift_us), tag);
+            }
+            q.fast_forward(shift, seqs, |tag| *tag += 100);
+            assert_eq!(q.len(), pending.len());
+            assert_eq!(q.peek_time(), reference.peek_time());
+            let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            let expected: Vec<_> = std::iter::from_fn(|| reference.pop())
+                .map(|(at, tag)| (at, tag + 100))
+                .collect();
+            assert_eq!(drained, expected);
+            let next = 1 + pending.len() as u64 + seqs;
+            assert_eq!(q.schedule(t(1 << 40), 9).raw(), next);
+        }
+    }
+
+    #[test]
     fn schedule_behind_the_pop_front_stays_ordered() {
-        // Popping advances the wheel cursor; events scheduled before it
-        // must still pop ahead of later ones.
+        // Events scheduled before the last popped time must still pop
+        // ahead of later ones.
         let mut q = EventQueue::new();
         q.schedule(t(1_000), "first");
         q.schedule(t(50_000), "last");

@@ -19,7 +19,7 @@ use easis_fmf::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use easis_fmf::record::SeverityMap;
 use easis_injection::injector::Injector;
 use easis_osek::alarm::{AlarmAction, AlarmId};
-use easis_osek::kernel::{CycleProgram, CycleScratch, Os};
+use easis_osek::kernel::{CycleProgram, Os};
 use easis_osek::plan::{EffectCtx, Plan, TaskBody};
 use easis_osek::task::{Priority, TaskConfig, TaskId};
 use easis_rte::assembly::SequencedTask;
@@ -122,14 +122,6 @@ impl NodeConfig {
 /// for its certification overhead, and the closed-form deltas would live on
 /// transients that never settle within one certification window.
 const FFWD_MAX_HYPERPERIOD: Duration = Duration::from_millis(1_000);
-
-/// The kernel timer wheel's bottom-level rotation span is `2^24` µs
-/// (~16.8 s). A macro-jump must never cross such a boundary: the wheel's
-/// overflow cascade redistributes entries there, a physical transition the
-/// closed-form delta does not model. The engine caps every jump just short
-/// of the next boundary and simulates the crossing hyperperiod
-/// event-by-event instead.
-const WHEEL_ROTATION_BITS: u32 = 24;
 
 /// A campaign-shared node recipe: the node configuration plus the
 /// watchdog configuration compiled from it exactly once (IdIndex
@@ -615,9 +607,9 @@ impl CentralNode {
     /// cannot express (a transient, an occurrence at a new phase, stale
     /// timers) rejects the derivation; a jump stops short of every
     /// discrete event the closed form does not model (a TSI or DTC
-    /// threshold crossing, a DTC age-out, a wheel rotation boundary) and
-    /// simulates it at event level. The final node state is bit-identical
-    /// to a never-fast-forwarded run.
+    /// threshold crossing, a DTC age-out) and simulates it at event
+    /// level. The final node state is bit-identical to a
+    /// never-fast-forwarded run.
     pub fn run_span(&mut self, end: Instant) {
         assert!(self.started, "call start() first");
         let start = self.os.now();
@@ -683,13 +675,13 @@ impl CentralNode {
 
     /// The macro-stepping loop behind [`CentralNode::run_span`]:
     /// certify the per-hyperperiod delta against a guard hyperperiod, then
-    /// apply it `k` at a time, capped at the next wheel rotation boundary,
-    /// the next DTC age-out and the next threshold crossing. A rejected
-    /// certification backs off exponentially (1→2→4→8 hyperperiods
-    /// simulated plainly, plus a one-millisecond sampling phase nudge) so
-    /// transients — DTC aging, pending cancellations, post-treatment
-    /// settling, the first hyperperiods of a fault, samples phased onto a
-    /// task-period boundary — drain before the retry.
+    /// apply it `k` at a time, capped at the next DTC age-out and the next
+    /// threshold crossing. A rejected certification backs off
+    /// exponentially (1→2→4→8 hyperperiods simulated plainly, plus a
+    /// one-millisecond sampling phase nudge) so transients — DTC aging,
+    /// pending cancellations, post-treatment settling, the first
+    /// hyperperiods of a fault, samples phased onto a task-period
+    /// boundary — drain before the retry.
     fn macro_step_span(&mut self, end: Instant) {
         // The engine state moves out while the node simulates (`run_until`
         // needs `&mut self.os`/`&mut self.world` alongside the buffers).
@@ -717,9 +709,7 @@ impl CentralNode {
             self.ffwd_image(&mut ff.img_a);
             self.os.run_until(now + h, &mut self.world);
             self.ffwd_image(&mut ff.img_b);
-            if let Err(reason) =
-                derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.scratch, &mut ff.delta)
-            {
+            if let Err(reason) = derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.delta) {
                 ff.reject(reason);
                 continue;
             }
@@ -729,9 +719,7 @@ impl CentralNode {
             // trusted.
             self.os.run_until(now + h * 2, &mut self.world);
             self.ffwd_image(&mut ff.img_a);
-            if let Err(reason) =
-                derive_node_delta(&ff.img_b, &ff.img_a, h, &mut ff.scratch, &mut ff.delta2)
-            {
+            if let Err(reason) = derive_node_delta(&ff.img_b, &ff.img_a, h, &mut ff.delta2) {
                 ff.reject(reason);
                 continue;
             }
@@ -747,42 +735,28 @@ impl CentralNode {
                 if k_span == 0 {
                     break 'certify;
                 }
-                let now_us = now.as_micros();
-                let boundary = ((now_us >> WHEEL_ROTATION_BITS) + 1) << WHEEL_ROTATION_BITS;
-                let k_rot = (boundary - now_us - 1) / h.as_micros();
                 // An aging DTC memory bounds the jump to just short of
                 // the earliest age-out, and an advancing fault counter to
                 // just short of its threshold (a TSI count of a task not
                 // yet faulty, a Pending DTC's occurrences): each is a
                 // discrete event the delta cannot express, so it must be
                 // simulated — and it *changes* the steady state, so the
-                // delta must then be re-certified (unlike a rotation
-                // crossing, which only relabels the wheel).
+                // delta must then be re-certified.
                 let k_age = self.world.fmf.hyperperiods_before_age_out(&ff.delta.fmf);
                 let k_threshold = self
                     .world
                     .watchdog
                     .hyperperiods_below_threshold(&ff.delta.watchdog)
                     .min(self.world.fmf.hyperperiods_before_confirm(&ff.delta.fmf));
-                let k = k_span.min(k_rot).min(k_age).min(k_threshold);
+                let k = k_span.min(k_age).min(k_threshold);
                 if k == 0 {
-                    let recertify = k_threshold == 0 || k_age == 0;
                     ff.fall_back(if k_threshold == 0 {
                         Reject::ThresholdCap
-                    } else if k_age == 0 {
-                        Reject::AgeOutCap
                     } else {
-                        Reject::RotationCap
+                        Reject::AgeOutCap
                     });
                     self.os.run_until(now + h, &mut self.world);
-                    if recertify {
-                        continue 'certify;
-                    }
-                    // The rotation boundary falls inside the next
-                    // hyperperiod: it was crossed event-by-event just now
-                    // (the overflow cascade must physically run); the
-                    // delta is still valid, resume jumping.
-                    continue;
+                    continue 'certify;
                 }
                 self.apply_node_delta(&ff.delta, h, k);
                 ff.stats.fastforwarded += h * k;
@@ -924,8 +898,6 @@ pub struct FfwdBreakdown {
     pub threshold_cap: u64,
     /// Hyperperiods simulated because a Pending DTC was about to age out.
     pub age_out_cap: u64,
-    /// Hyperperiods simulated across a timer-wheel rotation boundary.
-    pub rotation_cap: u64,
     /// Simulated time skipped while [`CentralNode::set_injection_armed`]
     /// marked the injection window armed.
     pub armed_fastforwarded: Duration,
@@ -939,7 +911,6 @@ impl FfwdBreakdown {
             + self.delta_mismatch
             + self.threshold_cap
             + self.age_out_cap
-            + self.rotation_cap
     }
 }
 
@@ -951,7 +922,6 @@ enum Reject {
     DeltaMismatch,
     ThresholdCap,
     AgeOutCap,
-    RotationCap,
 }
 
 /// The per-node macro-stepping engine: the configuration-derived
@@ -969,7 +939,6 @@ struct FfwdState {
     img_b: FfwdImage,
     delta: NodeCycleDelta,
     delta2: NodeCycleDelta,
-    scratch: CycleScratch,
     stats: FfwdStats,
     breakdown: FfwdBreakdown,
 }
@@ -992,7 +961,6 @@ impl FfwdState {
             Reject::DeltaMismatch => &mut b.delta_mismatch,
             Reject::ThresholdCap => &mut b.threshold_cap,
             Reject::AgeOutCap => &mut b.age_out_cap,
-            Reject::RotationCap => &mut b.rotation_cap,
         } += 1;
     }
 
@@ -1065,7 +1033,6 @@ fn derive_node_delta(
     a: &FfwdImage,
     b: &FfwdImage,
     h: Duration,
-    scratch: &mut CycleScratch,
     out: &mut NodeCycleDelta,
 ) -> Result<(), Reject> {
     if !a.os.is_quiescent() || !b.os.is_quiescent() {
@@ -1084,7 +1051,7 @@ fn derive_node_delta(
         && TaskMonitorImage::derive_advance(&a.deadline, &b.deadline, &mut out.deadline)
         && TaskMonitorImage::derive_advance(&a.exec, &b.exec, &mut out.exec)
         && FmfSnapshot::derive_cycle_delta(&a.fmf, &b.fmf, h, &mut out.fmf)
-        && OsSnapshot::derive_cycle_program(&a.os, &b.os, h, scratch, &mut out.os)
+        && OsSnapshot::derive_cycle_program(&a.os, &b.os, h, &mut out.os)
         && WatchdogSnapshot::derive_cycle_delta(&a.watchdog, &b.watchdog, h, &mut out.watchdog)
         && SignalDbSnapshot::derive_shift(&a.signals, &b.signals, h, &mut out.signal_slots);
     if !steady {
@@ -1155,9 +1122,7 @@ impl NodeSnapshot {
 
     /// Content equality, the equivalence-test comparator for
     /// macro-stepped versus event-level runs. The kernel is compared
-    /// through its canonical rendering — the timer wheel's *physical*
-    /// layout is legitimately non-canonical after a fast-forward, only its
-    /// logical content must match. Signal and watchdog state go through
+    /// through its canonical rendering. Signal and watchdog state go through
     /// their zero-shift derivations (every monotone field must be exactly
     /// equal); everything else compares structurally.
     pub fn content_eq(&self, other: &NodeSnapshot) -> bool {
@@ -1460,6 +1425,43 @@ mod tests {
             a.os_canonical(),
             b.os_canonical()
         );
+    }
+
+    #[test]
+    fn macro_stepped_span_across_2_pow_24_us_needs_no_fallback() {
+        // 16.0 s → 18.0 s crosses 2^24 µs ≈ 16.777 s. A uniform shift of
+        // the timer queue has no boundary there, so one certification
+        // must carry the whole span.
+        let run = |ffwd: bool| {
+            let mut node = CentralNode::build(NodeConfig {
+                kernel_trace: false,
+                ..NodeConfig::default()
+            });
+            node.set_fastforward(Some(true));
+            node.start();
+            node.run_span(Instant::from_millis(16_000));
+            node.set_fastforward(Some(ffwd));
+            let before = node.ffwd_stats();
+            node.run_span(Instant::from_millis(18_000));
+            let after = node.ffwd_stats();
+            (node, before, after)
+        };
+        let (fast, before, after) = run(true);
+        let (plain, plain_before, plain_after) = run(false);
+        assert_eq!(after.fallbacks, before.fallbacks, "{before:?} → {after:?}");
+        assert!(after.certifications > before.certifications, "{after:?}");
+        assert!(
+            after.fastforwarded - before.fastforwarded >= Duration::from_millis(1_900),
+            "{before:?} → {after:?}"
+        );
+        assert_eq!(plain_after.fastforwarded, plain_before.fastforwarded);
+        assert_eq!(fast.os.now(), plain.os.now());
+        assert_eq!(fast.world.fault_log, plain.world.fault_log);
+        let a = fast.snapshot();
+        let b = plain.snapshot();
+        assert_eq!(a.os_canonical(), b.os_canonical());
+        assert!(a.content_eq(&b), "macro-stepped state diverged across 2^24 µs");
+        assert!(fast.world.fault_log.is_empty());
     }
 
     #[test]

@@ -542,9 +542,9 @@ proptest! {
     }
 }
 
-/// The pre-wheel event queue, kept verbatim as the reference model: a
+/// The original event queue, kept verbatim as the reference model: a
 /// `BinaryHeap` of `(time, seq)` keys with lazy cancellation. The timer
-/// wheel must produce the identical cancel verdicts, peek times and pop
+/// queue must produce the identical cancel verdicts, peek times and pop
 /// stream for every operation sequence.
 struct ReferenceEventQueue {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
@@ -595,12 +595,12 @@ impl ReferenceEventQueue {
 }
 
 proptest! {
-    /// The hierarchical timer wheel is observationally equivalent to the
-    /// `BinaryHeap` it replaced: identical cancel verdicts (including
-    /// double-cancel and cancel-after-fire), identical peek times, and an
-    /// identical `(time, FIFO)` pop stream — over arbitrary interleavings
-    /// of schedule/pop/cancel with heavy same-instant collisions, events
-    /// beyond the top wheel level, and events behind the cursor.
+    /// The timer queue is observationally equivalent to the `BinaryHeap`
+    /// reference: identical cancel verdicts (including double-cancel and
+    /// cancel-after-fire), identical peek times, and an identical
+    /// `(time, FIFO)` pop stream — over arbitrary interleavings of
+    /// schedule/pop/cancel with heavy same-instant collisions, events far
+    /// beyond 2^24 µs, and events behind the last popped time.
     #[test]
     fn timer_wheel_matches_binary_heap_reference(
         ops in prop::collection::vec(
@@ -614,8 +614,8 @@ proptest! {
         for &(op, t, pick) in &ops {
             match op {
                 // Schedule: half the draws collapse into a small range so
-                // same-instant FIFO and cascade co-location are stressed;
-                // the other half reach past the top wheel level.
+                // same-instant FIFO is stressed; the other half reach far
+                // beyond 2^24 µs.
                 0..=4 => {
                     let at = Instant::from_micros(if t & 1 == 0 { t >> 14 } else { t });
                     let id = wheel.schedule(at, reference.next_seq);

@@ -13,7 +13,7 @@ use easis::validator::{scenario, CentralNode, NodeConfig};
 
 /// Simulated soak horizon in milliseconds. Defaults to two hours; CI smoke
 /// runs set `EASIS_SOAK_HORIZON_MS` to a short horizon (still several
-/// timer-wheel cascade periods — the top wheel level spans 2^24 µs ≈ 16.8 s).
+/// multiples of 2^24 µs ≈ 16.8 s).
 fn soak_horizon_ms() -> u64 {
     std::env::var("EASIS_SOAK_HORIZON_MS")
         .ok()
@@ -21,9 +21,10 @@ fn soak_horizon_ms() -> u64 {
         .unwrap_or(2 * 60 * 60 * 1000)
 }
 
-/// One top-level timer-wheel rotation: events scheduled further ahead than
-/// this land in the overflow `BTreeMap` and must cascade back into the
-/// wheel when the cursor crosses the next rotation boundary.
+/// 2^24 µs ≈ 16.8 s: the span of the hierarchical timer wheel the kernel
+/// once used, kept as the unit the long-horizon soaks measure in. Timers
+/// scheduled further ahead than this, and simulated time crossing its
+/// multiples, are what these soaks exercise.
 const WHEEL_HORIZON_US: u64 = 1 << 24;
 
 #[test]
@@ -51,7 +52,7 @@ fn hil_long_run_remains_stable_and_supervised() {
     assert!(report.can_frames > 15_000);
 }
 
-/// Heap-of-record for the wheel soak: the same lazy-cancellation
+/// Heap-of-record for the timer-queue soak: the same lazy-cancellation
 /// `BinaryHeap` model the property suite uses, kept minimal here so the
 /// soak is self-contained.
 struct HeapOfRecord {
@@ -102,13 +103,11 @@ impl HeapOfRecord {
     }
 }
 
-/// Hours of simulated time through the hierarchical timer wheel, in
-/// lockstep with a binary-heap model: a 10 ms tick that stays inside the
-/// wheel, a 60 s re-arming alarm that *always* lands in the overflow
-/// `BTreeMap` (60 s > 2^24 µs), random far one-shots up to 90 minutes out,
-/// and occasional cancellations of overflow residents. Peek and pop must
-/// agree at every event — in particular across every top-rotation boundary,
-/// where the overflow cascade re-files events into the wheel.
+/// Hours of simulated time through the kernel's timer queue, in lockstep
+/// with a binary-heap model: a 10 ms tick, a 60 s re-arming alarm (always
+/// more than 2^24 µs ahead), random far one-shots up to 90 minutes out,
+/// and occasional cancellations of far entries. Peek and pop must agree
+/// at every event, including at every multiple of 2^24 µs.
 #[test]
 fn timer_wheel_soak_matches_heap_across_overflow_cascades() {
     #[derive(Clone, Copy, PartialEq)]
@@ -166,9 +165,8 @@ fn timer_wheel_soak_matches_heap_across_overflow_cascades() {
         if rotation != last_rotation {
             cascade_crossings += 1;
             last_rotation = rotation;
-            // Right on a cascade boundary the overflow entries for this
-            // rotation have just been re-filed into the wheel: the head of
-            // both queues must still agree.
+            // Right after crossing a multiple of 2^24 µs the head of both
+            // queues must still agree.
             assert_eq!(wheel.peek_time(), record.peek_time(), "peek diverged after cascade");
         }
 
@@ -211,9 +209,8 @@ fn timer_wheel_soak_matches_heap_across_overflow_cascades() {
         }
     }
 
-    // The soak must actually have exercised the overflow path, not just the
-    // in-wheel levels: every 60 s re-arm spills, and hours of time cross
-    // many top-rotation boundaries.
+    // The soak must actually have reached far ahead: every 60 s re-arm is
+    // more than 2^24 µs out, and hours of time cross many multiples of it.
     let expected_rotations = soak_horizon_ms() * 1000 / WHEEL_HORIZON_US;
     assert!(
         overflow_spills >= expected_rotations.div_ceil(4).max(2),
@@ -235,12 +232,12 @@ fn timer_wheel_soak_matches_heap_across_overflow_cascades() {
     }
 }
 
-/// The same overflow machinery end-to-end through the OSEK kernel: a 10 ms
-/// task and a 60 s task (whose cyclic alarm re-arms into the overflow map
-/// every time) run for hours of simulated time on arena-backed bodies with
-/// the trace disabled. Activation counts must come out exact — a lost or
-/// duplicated cascade would skew them — and the run must stay allocation-
-/// bounded enough to finish in test time.
+/// Far timers end-to-end through the OSEK kernel: a 10 ms task and a 60 s
+/// task (whose cyclic alarm re-arms more than 2^24 µs ahead every time)
+/// run for hours of simulated time on arena-backed bodies with the trace
+/// disabled. Activation counts must come out exact — a lost or duplicated
+/// expiry would skew them — and the run must stay allocation-bounded
+/// enough to finish in test time.
 #[test]
 fn kernel_alarm_soak_exact_activation_counts_past_wheel_horizon() {
     use easis::osek::alarm::{AlarmAction, AlarmId};
@@ -297,14 +294,12 @@ fn kernel_alarm_soak_exact_activation_counts_past_wheel_horizon() {
     assert_eq!(os.now(), horizon);
 }
 
-/// Kernel-visible long-horizon cascade scenario: a full central node runs
-/// past the top-level timer-wheel rotation (2^24 µs ≈ 16.8 s) while a
-/// heartbeat loss on SAFE_CC is injected across the rotation boundary
-/// itself — the injection window opens before the cascade re-files the
-/// overflow residents and closes after it. The cascade must neither drop
-/// nor delay the dependability pipeline: the Software Watchdog detects the
-/// loss inside the window, the FMF reaction strictly follows the first
-/// detection, and after the window closes the node returns to a clean
+/// Kernel-visible long-horizon scenario: a full central node runs past
+/// 2^24 µs ≈ 16.8 s while a heartbeat loss on SAFE_CC is injected across
+/// that instant — the injection window opens before it and closes after
+/// it. Crossing it must neither drop nor delay the dependability
+/// pipeline: the Software Watchdog detects the loss inside the window,
+/// the FMF reaction strictly follows the first detection, and after the window closes the node returns to a clean
 /// steady state for the rest of the horizon. `EASIS_SOAK_HORIZON_MS`
 /// gates how far past the boundary the CI smoke runs (clamped so the
 /// default two-hour soak setting stays test-time bounded — the scenario's
@@ -314,7 +309,7 @@ fn central_node_detects_and_treats_fault_across_cascade_boundary() {
     use easis::fmf::policy::Treatment;
     use easis::injection::{ErrorClass, Injection};
 
-    // First top-level rotation boundary, in ms (16_777.216 ms).
+    // 2^24 µs in ms (16_777.216 ms).
     let boundary_ms = WHEEL_HORIZON_US / 1000;
     let from = Instant::from_millis(boundary_ms - 80);
     let to = Instant::from_millis(boundary_ms + 120);
@@ -385,14 +380,13 @@ fn central_node_detects_and_treats_fault_across_cascade_boundary() {
     assert!(node.world.watchdog.cycles_run() >= horizon_ms / 10 - 2);
 }
 
-/// The detection pipeline is rotation-boundary independent: a
-/// heartbeat-loss window of identical shape, aligned to the node's 20 ms
-/// hyperperiod so the phase between injection start and the next watchdog
-/// check is the same every time, is swept across three consecutive
-/// top-level timer-wheel rotation boundaries (2^24 µs apart), straddling
-/// each. The overflow cascade that re-files long-horizon events at every
-/// boundary must neither delay nor advance detection: the first-detection
-/// latency has to come out bit-identical at all three boundaries.
+/// The detection pipeline is independent of where in simulated time it
+/// runs: a heartbeat-loss window of identical shape, aligned to the node's
+/// 20 ms hyperperiod so the phase between injection start and the next
+/// watchdog check is the same every time, is swept across three
+/// consecutive multiples of 2^24 µs, straddling each. Crossing them must
+/// neither delay nor advance detection: the first-detection latency has
+/// to come out bit-identical at all three.
 #[test]
 fn heartbeat_loss_latency_is_rotation_boundary_independent() {
     use easis::injection::{ErrorClass, Injection};
@@ -442,13 +436,10 @@ fn heartbeat_loss_latency_is_rotation_boundary_independent() {
 }
 
 /// The macro-stepping engine over a genuinely long horizon: the
-/// injection-free prefix spans the first top-level timer-wheel rotation
-/// boundary (2^24 µs ≈ 16.8 s), which no closed-form jump may cross — the
-/// engine must cap the jump just short of it, simulate the cascade
-/// hyperperiod event-by-event (a counted fallback) and resume jumping.
-/// A heartbeat loss opens just past the boundary, so detection and
-/// treatment run on a node whose entire pre-fault history was
-/// fast-forwarded; the dependability verdict and the final node state must
+/// injection-free prefix spans 2^24 µs ≈ 16.8 s, and the engine jumps
+/// straight across it. A heartbeat loss opens just past that instant, so
+/// detection and treatment run on a node whose entire pre-fault history
+/// was fast-forwarded; the dependability verdict and the final node state must
 /// come out bit-identical to the event-level run that simulated every one
 /// of the ~16 million microseconds.
 #[test]
@@ -486,8 +477,9 @@ fn macro_stepped_soak_crosses_rotation_boundary_and_detects_fault_past_it() {
     let fast = run(true);
     let plain = run(false);
 
-    // The prefix really was macro-stepped (most of ~16.8 s elided), and the
-    // rotation crossing really was simulated (a counted fallback).
+    // The prefix really was macro-stepped (most of ~16.8 s elided). The
+    // counted fallback is the fault's settling transient after the window
+    // closes; jumping across 2^24 µs itself takes none.
     let stats = fast.ffwd_stats();
     assert!(
         stats.fastforwarded >= Duration::from_secs(10),
