@@ -104,6 +104,17 @@ if grep -rnE 'insert_wheel|advance_to|TOP_SHIFT|WHEEL_ROTATION_BITS|RotationCap|
   echo "the timer wheel or its rotation cap crept back"; exit 1
 fi
 
+echo "==> macro-stepping certifies on one hyperperiod (no guard hyperperiod)"
+# One hyperperiod whose two end images differ by a well-formed delta
+# certifies a jump (DESIGN.md section 9). The guard hyperperiod that
+# re-derived the delta and compared the appended log tails never
+# rejected a certification and was deleted; its names must not creep
+# back.
+if grep -rnE 'delta2|DeltaMismatch|delta_mismatch|tail_repeats|log_tail_repeats|logs_repeat' \
+     crates/ src/ tests/ examples/; then
+  echo "the macro-stepping guard hyperperiod crept back"; exit 1
+fi
+
 echo "==> soak smoke run (short horizon via EASIS_SOAK_HORIZON_MS)"
 # The full soak defaults to two simulated hours; one simulated minute
 # still spans several multiples of 2^24 us and a 60 s alarm, so timers

@@ -165,7 +165,7 @@ impl HardwareWatchdog {
 /// The closed-form per-hyperperiod motion of a [`HardwareWatchdog`]:
 /// derived by [`HardwareWatchdog::derive_cycle_delta`], applied by
 /// [`HardwareWatchdog::apply_cycle_delta`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HwCycleDelta {
     d_last_kick: Duration,
     d_expirations: u32,

@@ -40,7 +40,6 @@ struct Row {
     certifications_per_trial: f64,
     not_quiescent_per_trial: f64,
     state_mismatch_per_trial: f64,
-    delta_mismatch_per_trial: f64,
     threshold_cap_per_trial: f64,
     age_out_cap_per_trial: f64,
 }
@@ -142,7 +141,6 @@ fn main() {
                 s.certifications += after.certifications - stats.certifications;
                 s.reasons.not_quiescent += why.not_quiescent - reasons.not_quiescent;
                 s.reasons.state_mismatch += why.state_mismatch - reasons.state_mismatch;
-                s.reasons.delta_mismatch += why.delta_mismatch - reasons.delta_mismatch;
                 s.reasons.threshold_cap += why.threshold_cap - reasons.threshold_cap;
                 s.reasons.age_out_cap += why.age_out_cap - reasons.age_out_cap;
                 s.wall_on += wall;
@@ -171,19 +169,18 @@ fn main() {
                 certifications_per_trial: per(s.certifications),
                 not_quiescent_per_trial: per(s.reasons.not_quiescent),
                 state_mismatch_per_trial: per(s.reasons.state_mismatch),
-                delta_mismatch_per_trial: per(s.reasons.delta_mismatch),
                 threshold_cap_per_trial: per(s.reasons.threshold_cap),
                 age_out_cap_per_trial: per(s.reasons.age_out_cap),
             }
         })
         .collect();
     println!(
-        "{:<19} {:>6} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>6} {:>6}",
-        "class", "trials", "skipped", "wall", "certs", "idle", "state", "delta", "thresh", "age"
+        "{:<19} {:>6} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>6}",
+        "class", "trials", "skipped", "wall", "certs", "idle", "state", "thresh", "age"
     );
     for r in &rows {
         println!(
-            "{:<19} {:>6} {:>8.3} {:>8.3} {:>8.2} {:>6.2} {:>6.2} {:>6.2} {:>6.2} {:>6.2}",
+            "{:<19} {:>6} {:>8.3} {:>8.3} {:>8.2} {:>6.2} {:>6.2} {:>6.2} {:>6.2}",
             r.class,
             r.trials,
             r.skipped_fraction,
@@ -191,7 +188,6 @@ fn main() {
             r.certifications_per_trial,
             r.not_quiescent_per_trial,
             r.state_mismatch_per_trial,
-            r.delta_mismatch_per_trial,
             r.threshold_cap_per_trial,
             r.age_out_cap_per_trial,
         );

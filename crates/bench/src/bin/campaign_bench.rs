@@ -57,10 +57,12 @@
 //! by certified macro-jumps, the certification/fallback counts, and the
 //! speedup against the pre-macro-stepping forked baseline
 //! ([`FORKED_BASELINE_TRIALS_PER_SEC`]). At full scale the forked path
-//! must reach [`FFWD_SPEEDUP_FLOOR`]× that baseline, and the worker
-//! sweep's workers=2 entry must reach [`SWEEP_SCALING_FLOOR`]× the
-//! workers=1 rate — the latter only on hosts with more than one core,
-//! because an oversubscribed sweep measures contention, not scaling.
+//! must reach [`FFWD_SPEEDUP_FLOOR`]× that baseline, and over
+//! [`SWEEP_PAIRS`] interleaved workers=1/workers=2 pairs the median
+//! workers=2 ÷ workers=1 rate ratio must reach [`SWEEP_SCALING_FLOOR`]×
+//! (min and max printed) — the latter only on hosts with more than one
+//! core, because an oversubscribed sweep measures contention, not
+//! scaling.
 //!
 //! Results land in `BENCH_campaign.json` (stable schema,
 //! `schema_version` 7; `host_cores` records the recording host's
@@ -154,8 +156,14 @@ const FFWD_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Required scaling of the forked path from one to two workers when the
 /// recording host actually has more than one core (on a single-core host
-/// the sweep measures oversubscription and the gate is skipped).
+/// the sweep measures oversubscription and the gate is skipped): the
+/// median over [`SWEEP_PAIRS`] interleaved pairs of the workers=2 rate
+/// divided by the workers=1 rate.
 const SWEEP_SCALING_FLOOR: f64 = 1.3;
+
+/// Interleaved workers=1/workers=2 pairs behind the scaling gate at the
+/// full campaign; odd, so the median is one pair's ratio.
+const SWEEP_PAIRS: usize = 5;
 
 /// Maximum heap blocks a clean steady-state trial may allocate on a warmed
 /// node. With the reloaded injector (`Injector::reload`) and the interned
@@ -725,30 +733,45 @@ fn main() {
     // Multi-core scaling of the forked path: one sweep entry per worker
     // count, regardless of what EASIS_WORKERS says about the headline
     // runs. Read alongside `worker_sweep_note`: entries beyond the host's
-    // core count measure oversubscription, not scaling.
-    let sweep_reps = if trials_per_class >= ASSERT_FLOOR_TRIALS_PER_CLASS {
-        2
-    } else {
-        1
-    };
+    // core count measure oversubscription, not scaling. Workers 1 and 2
+    // run as interleaved pairs, alternating which goes first, so host
+    // noise hits both sides of a pair alike; the scaling gate reads the
+    // median of the per-pair ratios.
+    let full_scale = trials_per_class >= ASSERT_FLOOR_TRIALS_PER_CLASS;
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1) as u64;
+    let time_plan = |workers: usize| {
+        let ex = CampaignExecutor::new(workers);
+        let start = std::time::Instant::now();
+        black_box(run_plan(&plan, HORIZON, &ex));
+        start.elapsed().as_nanos() as f64
+    };
+    let sweep = [1usize, 2, 4, 8];
+    let mut best_ns = [f64::INFINITY; 4];
+    let mut ratios = Vec::new();
+    for pair in 0..if full_scale { SWEEP_PAIRS } else { 1 } {
+        let mut ns = [0.0; 2];
+        for i in if pair % 2 == 0 { [0, 1] } else { [1, 0] } {
+            ns[i] = time_plan(sweep[i]);
+            best_ns[i] = best_ns[i].min(ns[i]);
+        }
+        ratios.push(ns[0] / ns[1]);
+    }
+    for i in 2..sweep.len() {
+        for _ in 0..if full_scale { 2 } else { 1 } {
+            best_ns[i] = best_ns[i].min(time_plan(sweep[i]));
+        }
+    }
+    ratios.sort_by(f64::total_cmp);
+    let w1_tps = trials as f64 / (best_ns[0] / 1e9);
     let mut worker_sweep: Vec<SweepEntry> = Vec::new();
     println!(
         "{:<28} {:>14} {:>12}",
         "worker sweep (forked)", "trials/sec", "efficiency"
     );
-    for w in [1usize, 2, 4, 8] {
-        let ex = CampaignExecutor::new(w);
-        let ns = best_of(sweep_reps, || {
-            black_box(run_plan(&plan, HORIZON, &ex));
-        });
+    for (&w, ns) in sweep.iter().zip(best_ns) {
         let tps = trials as f64 / (ns / 1e9);
-        let w1_tps = worker_sweep
-            .first()
-            .map(|e| e.trials_per_sec)
-            .unwrap_or(tps);
         let efficiency = tps / (w1_tps * w as f64);
         println!(
             "{:<28} {:>14.0} {:>12.2}",
@@ -762,14 +785,20 @@ fn main() {
             parallel_efficiency: efficiency,
         });
     }
-    if trials_per_class >= ASSERT_FLOOR_TRIALS_PER_CLASS && host_cores > 1 {
-        let w1_tps = worker_sweep[0].trials_per_sec;
-        let w2_tps = worker_sweep[1].trials_per_sec;
+    let median = ratios[ratios.len() / 2];
+    println!(
+        "workers=2 / workers=1 over {} interleaved pair(s): median {median:.2}x \
+         (min {:.2}x, max {:.2}x)",
+        ratios.len(),
+        ratios[0],
+        ratios[ratios.len() - 1],
+    );
+    if full_scale && host_cores > 1 {
         assert!(
-            w2_tps >= SWEEP_SCALING_FLOOR * w1_tps,
+            median >= SWEEP_SCALING_FLOOR,
             "forked path must scale across workers on a multi-core host: \
-             workers=2 reached {w2_tps:.0} trials/sec, below \
-             {SWEEP_SCALING_FLOOR}× the workers=1 rate of {w1_tps:.0}"
+             workers=2 reached a median {median:.2}× the workers=1 rate, \
+             below {SWEEP_SCALING_FLOOR}×"
         );
     } else {
         println!(

@@ -11,7 +11,7 @@ use crate::policy::{Treatment, TreatmentAction, TreatmentPolicy};
 use crate::record::{FaultRecord, Severity, SeverityMap};
 use easis_obs::{ObsEvent, ObsSink};
 use easis_rte::mapping::ApplicationId;
-use easis_sim::snap::{replay_tail, tail_repeats};
+use easis_sim::snap::replay_tail;
 use easis_sim::time::{Duration, Instant};
 use easis_watchdog::report::{DetectedFault, FaultKind, StateChange};
 use std::collections::BTreeMap;
@@ -106,16 +106,6 @@ impl FaultManagementFramework {
             record.fault.at += h * j;
             record
         });
-    }
-
-    /// Whether the fault log's last two blocks of `records` entries are
-    /// the same records one hyperperiod `h` apart — the guard check that
-    /// lets [`FaultManagementFramework::apply_cycle_delta`] replay them.
-    pub fn log_tail_repeats(&self, records: usize, h: Duration) -> bool {
-        tail_repeats(&self.log, records, |mut record| {
-            record.fault.at += h;
-            record
-        })
     }
 
     /// How many hyperperiods `delta` can be applied before a recurring
@@ -301,9 +291,11 @@ impl FaultManagementFramework {
     /// the image records only the log's length. This is the macro-stepping
     /// engine's hyperperiod sample. Under a persistent fault in an armed
     /// window the log grows every hyperperiod, so copying it into every
-    /// sample would cost O(log) per certification; the engine instead
-    /// checks the appended records on the live log tail
-    /// ([`FaultManagementFramework::log_tail_repeats`]). An image is
+    /// sample would cost O(log) per certification. Nothing on the
+    /// dynamics path reads the log, so its length is all a certification
+    /// needs: a jump replays the records the certified hyperperiod
+    /// appended from the live log tail
+    /// ([`FaultManagementFramework::apply_cycle_delta`]). An image is
     /// therefore for [`FmfSnapshot::derive_cycle_delta`], not for
     /// restoring.
     pub fn image_into(&self, snap: &mut FmfSnapshot) {
@@ -352,9 +344,9 @@ impl FmfSnapshot {
     /// Derives the closed-form per-hyperperiod framework delta between
     /// two images one hyperperiod `h` apart. The action queue, restart
     /// budgets and reset counter must sit perfectly still — any new
-    /// treatment is a discrete event. The fault log may grow (its
-    /// appended records are checked against the live log by
-    /// [`FaultManagementFramework::log_tail_repeats`]) and the DTC memory
+    /// treatment is a discrete event. The fault log may grow (the records
+    /// it gained are replayed from the live log by
+    /// [`FaultManagementFramework::apply_cycle_delta`]) and the DTC memory
     /// may drain or keep re-recording a persistent fault (see
     /// [`crate::dtc::DtcStoreSnapshot::derive_cycle_delta`]).
     pub fn derive_cycle_delta(a: &Self, b: &Self, h: Duration, out: &mut FmfCycleDelta) -> bool {
@@ -375,7 +367,7 @@ impl FmfSnapshot {
 /// of fault-log records every hyperperiod appends. Everything else the
 /// framework owns must be at rest for [`FmfSnapshot::derive_cycle_delta`]
 /// to certify.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct FmfCycleDelta {
     /// DTC aging and recurring occurrences per hyperperiod.
     pub dtc: DtcCycleDelta,
@@ -551,6 +543,75 @@ mod tests {
             actions.last().unwrap().treatment,
             Treatment::RestartApplication(_)
         ));
+    }
+
+    /// The fault log has no reader on the dynamics path: twin frameworks
+    /// ingest one fault stream, one twin's log is cleared midway, and
+    /// every later decision — the actions, the DTC memory, the restart
+    /// budgets and the ECU resets — stays identical. The macro-stepping
+    /// engine images the log as its length and replays the records one
+    /// certified hyperperiod appended; this is what makes that exact.
+    #[test]
+    fn clearing_the_log_changes_no_later_decision() {
+        let mut a = FaultManagementFramework::default();
+        *a.dtc_mut() = DtcStore::new(4, 6);
+        let mut b = a.clone();
+        let kinds = [
+            FaultKind::Aliveness,
+            FaultKind::ArrivalRate,
+            FaultKind::ProgramFlow,
+        ];
+        let (mut acted, mut cleared, mut dtcs) = (0, 0, 0);
+        for step in 0..240u64 {
+            if step == 120 {
+                cleared = b.log.len();
+                b.log.clear();
+            }
+            for fmf in [&mut a, &mut b] {
+                if step % 5 < 2 && step % 60 < 40 {
+                    fmf.ingest_fault(DetectedFault {
+                        at: Instant::from_millis(step * 10),
+                        runnable: RunnableId((step % 3) as u32),
+                        kind: kinds[(step / 5 % 3) as usize],
+                    });
+                } else {
+                    fmf.healthy_cycle();
+                }
+                if step % 37 == 11 {
+                    fmf.ingest_state_change(StateChange::ApplicationFaulty {
+                        app: ApplicationId((step % 2) as u32),
+                        at: Instant::from_millis(step * 10),
+                    });
+                }
+                if step % 90 == 89 {
+                    fmf.ingest_state_change(StateChange::EcuFaulty {
+                        at: Instant::from_millis(step * 10),
+                    });
+                }
+            }
+            let (actions_a, actions_b) = (a.take_actions(), b.take_actions());
+            assert_eq!(actions_a, actions_b, "actions diverged at step {step}");
+            acted += actions_a.len();
+            dtcs = dtcs.max(a.dtc().iter().count());
+            let (mut img_a, mut img_b) = (FmfSnapshot::default(), FmfSnapshot::default());
+            a.image_into(&mut img_a);
+            b.image_into(&mut img_b);
+            assert_eq!(img_a.dtc, img_b.dtc, "DTC memory diverged at step {step}");
+            assert_eq!(img_a.app_restarts, img_b.app_restarts);
+            assert_eq!(img_a.terminated_apps, img_b.terminated_apps);
+            assert_eq!(img_a.ecu_resets, img_b.ecu_resets);
+        }
+        assert!(cleared > 0, "the cleared prefix must hold records");
+        assert!(
+            acted >= 3 && a.ecu_resets() >= 1,
+            "the stream must drive treatments"
+        );
+        assert!(dtcs >= 2, "the stream must record DTCs");
+        assert_eq!(
+            b.log(),
+            &a.log()[cleared..],
+            "the twins log the same records"
+        );
     }
 
     /// Drives a tail after a capture, restores, and asserts the replay is

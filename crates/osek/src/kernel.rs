@@ -571,8 +571,9 @@ impl<W> Os<W> {
     /// independent of how many events the skipped span would have fired.
     ///
     /// The caller (the node-level macro-stepping engine) must only apply a
-    /// program derived from *and guard-verified against* this kernel's
-    /// current state; anything else diverges silently.
+    /// program derived from two samples of this kernel one hyperperiod
+    /// apart, with nothing but certified jumps run since the later one;
+    /// anything else diverges silently.
     pub fn apply_cycle_program(&mut self, program: &CycleProgram, k: u64) {
         let core = &mut self.core;
         let shift = program.h * k;
@@ -1420,10 +1421,9 @@ impl OsSnapshot {
     /// steady-state-equivalent (a behavior-feeding field differs, an event
     /// is pending in one but not the other, a cancellation is pending, a
     /// counter moved non-uniformly). Every condition checked here is one
-    /// the closed-form application of `program` relies on, so a `true`
-    /// result plus one guard hyperperiod (derive again from the next
-    /// sample and require the identical program) certifies the jump
-    /// bit-exactly.
+    /// the closed-form application of `program` relies on, and the kernel
+    /// is shift-equivariant, so a `true` result certifies the jump
+    /// bit-exactly (DESIGN.md §9).
     ///
     /// Reuses `program`'s vectors; steady-state certification allocates
     /// nothing once warm.
@@ -1510,7 +1510,7 @@ impl OsSnapshot {
 
 /// Per-task component of a [`CycleProgram`]: the per-hyperperiod advance of
 /// the task's monotonic activation counter and ready-key cursor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct TaskCycleDelta {
     d_issued: u64,
     d_ready_key: i64,
@@ -1519,9 +1519,8 @@ struct TaskCycleDelta {
 /// The compiled steady-state schedule: the closed-form state delta one
 /// hyperperiod of kernel execution applies, derived by
 /// [`OsSnapshot::derive_cycle_program`] and applied k-at-a-time by
-/// [`Os::apply_cycle_program`]. Two programs comparing equal (the guard
-/// hyperperiod's requirement) proves the event stream reproduced itself.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// [`Os::apply_cycle_program`].
+#[derive(Debug, Clone, Default)]
 pub struct CycleProgram {
     h: Duration,
     d_busy: Duration,

@@ -390,7 +390,7 @@ impl<W> PlanArena<W> {
 /// (see [`PlanArena::snapshot`]). World-independent plain data, so node
 /// snapshots containing it are `Send + Sync` and shareable via `Arc`.
 /// Two captures compare equal when they hold the same remaining steps in
-/// every slot — how the macro-stepping guards prove two hyperperiod
+/// every slot — how macro-stepping certification proves two hyperperiod
 /// samples equivalent.
 #[derive(Default, Clone, PartialEq)]
 pub struct PlanArenaSnapshot {

@@ -233,9 +233,9 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if a cancellation is pending — the macro-stepping guards
-    /// reject such states before certifying a jump, so reaching here with
-    /// one is a caller bug.
+    /// Panics if a cancellation is pending — macro-stepping certification
+    /// rejects such states before a jump, so reaching here with one is a
+    /// caller bug.
     pub fn fast_forward(&mut self, shift: Duration, seq_shift: u64, mut fixup: impl FnMut(&mut E)) {
         assert!(
             self.cancelled.is_empty(),

@@ -46,8 +46,8 @@ pub struct FfwdMetrics {
     /// Certification attempts rejected plus jump caps simulated
     /// event-by-event.
     pub fallbacks: u64,
-    /// Successful certifications (the guard hyperperiod reproduced the
-    /// derived delta exactly).
+    /// Successful certifications (one simulated hyperperiod yielded a
+    /// well-formed delta).
     pub certifications: u64,
 }
 

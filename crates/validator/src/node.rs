@@ -26,7 +26,7 @@ use easis_rte::assembly::SequencedTask;
 use easis_rte::mapping::{ApplicationId, SystemMapping};
 use easis_rte::runnable::{RunnableId, RunnableRegistry};
 use easis_rte::signal::{SignalDb, SignalDbSnapshot, SignalId};
-use easis_sim::snap::{replay_tail, tail_repeats};
+use easis_sim::snap::replay_tail;
 use easis_sim::time::{Duration, Instant};
 use easis_baselines::task_monitors::{TaskMonitorImage, TaskMonitorStats};
 use easis_osek::kernel::OsSnapshot;
@@ -596,20 +596,19 @@ impl CentralNode {
     /// When the span is eligible ([`CentralNode::set_fastforward`],
     /// `EASIS_FASTFORWARD`, no enabled traces), the hyperperiod
     /// macro-stepping engine first certifies the steady-state schedule —
-    /// simulate one hyperperiod, derive its closed-form state delta,
-    /// simulate a guard hyperperiod and require the exact same delta — and
-    /// then fast-forwards whole hyperperiod multiples in O(1) per
-    /// hyperperiod. That includes an armed injection window: the span
-    /// never ticks the injector, so runnable controls stay constant, and a
-    /// persistent fault settles into a steady state whose fault counters
-    /// and logs advance by a fixed amount per hyperperiod (the delta is
-    /// affine in them). Certification is *exact*: any state the delta
-    /// cannot express (a transient, an occurrence at a new phase, stale
-    /// timers) rejects the derivation; a jump stops short of every
-    /// discrete event the closed form does not model (a TSI or DTC
-    /// threshold crossing, a DTC age-out) and simulates it at event
-    /// level. The final node state is bit-identical to a
-    /// never-fast-forwarded run.
+    /// simulate one hyperperiod and derive its closed-form state delta
+    /// from images taken at both ends — and then fast-forwards whole
+    /// hyperperiod multiples in O(1) per hyperperiod. That includes an
+    /// armed injection window: the span never ticks the injector, so
+    /// runnable controls stay constant, and a persistent fault settles
+    /// into a steady state whose fault counters and logs advance by a
+    /// fixed amount per hyperperiod (the delta is affine in them).
+    /// Certification is *exact*: any state the delta cannot express (a
+    /// transient, an occurrence at a new phase, stale timers) rejects the
+    /// derivation; a jump stops short of every discrete event the closed
+    /// form does not model (a TSI or DTC threshold crossing, a DTC
+    /// age-out) and simulates it at event level. The final node state is
+    /// bit-identical to a never-fast-forwarded run.
     pub fn run_span(&mut self, end: Instant) {
         assert!(self.started, "call start() first");
         let start = self.os.now();
@@ -674,7 +673,7 @@ impl CentralNode {
     }
 
     /// The macro-stepping loop behind [`CentralNode::run_span`]:
-    /// certify the per-hyperperiod delta against a guard hyperperiod, then
+    /// certify the per-hyperperiod delta on one simulated hyperperiod, then
     /// apply it `k` at a time, capped at the next DTC age-out and the next
     /// threshold crossing. A rejected certification backs off
     /// exponentially (1→2→4→8 hyperperiods simulated plainly, plus a
@@ -701,30 +700,20 @@ impl CentralNode {
                 self.os.run_until(penalty_end, &mut self.world);
             }
             let now = self.os.now();
-            // Certification consumes two hyperperiods; anything shorter
-            // than three leaves no jump to pay for it.
-            if end.saturating_duration_since(now) < h * 3 {
+            // Certification consumes one hyperperiod; anything shorter
+            // than two leaves no jump to pay for it.
+            if end.saturating_duration_since(now) < h * 2 {
                 break;
             }
+            // One hyperperiod certifies: two images `h` apart that differ
+            // only by a well-formed delta fix every later hyperperiod, and
+            // the records this one appended are the ones each later
+            // hyperperiod appends, shifted (DESIGN.md §9).
             self.ffwd_image(&mut ff.img_a);
             self.os.run_until(now + h, &mut self.world);
             self.ffwd_image(&mut ff.img_b);
             if let Err(reason) = derive_node_delta(&ff.img_a, &ff.img_b, h, &mut ff.delta) {
                 ff.reject(reason);
-                continue;
-            }
-            // Guard hyperperiod: the event stream must reproduce the exact
-            // same delta — and append the same log records, one
-            // hyperperiod later — before any closed-form application is
-            // trusted.
-            self.os.run_until(now + h * 2, &mut self.world);
-            self.ffwd_image(&mut ff.img_a);
-            if let Err(reason) = derive_node_delta(&ff.img_b, &ff.img_a, h, &mut ff.delta2) {
-                ff.reject(reason);
-                continue;
-            }
-            if ff.delta != ff.delta2 || !self.logs_repeat(&ff.delta, h) {
-                ff.reject(Reject::DeltaMismatch);
                 continue;
             }
             ff.backoff = 0;
@@ -766,16 +755,6 @@ impl CentralNode {
             }
         }
         self.ffwd = ff;
-    }
-
-    /// The guard's log check: both certification hyperperiods appended the
-    /// same fault-log and FMF-log records, one hyperperiod apart, so the
-    /// closed form may replay them.
-    fn logs_repeat(&self, delta: &NodeCycleDelta, h: Duration) -> bool {
-        tail_repeats(&self.world.fault_log, delta.fault_log, |mut fault| {
-            fault.at += h;
-            fault
-        }) && self.world.fmf.log_tail_repeats(delta.fmf.log_records, h)
     }
 
     /// Applies a certified node delta `k` times in closed form.
@@ -877,7 +856,8 @@ pub struct FfwdStats {
     /// Rejected certification attempts plus jump caps simulated
     /// event-by-event (the sum of [`FfwdBreakdown`]'s reasons).
     pub fallbacks: u64,
-    /// Successful certifications (guard hyperperiod reproduced the delta).
+    /// Successful certifications (one simulated hyperperiod yielded a
+    /// well-formed delta).
     pub certifications: u64,
 }
 
@@ -890,9 +870,6 @@ pub struct FfwdBreakdown {
     /// Certification samples whose state differed in a way no delta
     /// expresses (a transient, a new log phase, a verdict change).
     pub state_mismatch: u64,
-    /// Guard hyperperiods whose per-hyperperiod advance (or appended log
-    /// records) differed from the first hyperperiod's.
-    pub delta_mismatch: u64,
     /// Hyperperiods simulated because a TSI count or a Pending DTC was
     /// about to cross its threshold.
     pub threshold_cap: u64,
@@ -906,11 +883,7 @@ pub struct FfwdBreakdown {
 impl FfwdBreakdown {
     /// The fallback total: the sum of every reason.
     pub fn fallbacks(&self) -> u64 {
-        self.not_quiescent
-            + self.state_mismatch
-            + self.delta_mismatch
-            + self.threshold_cap
-            + self.age_out_cap
+        self.not_quiescent + self.state_mismatch + self.threshold_cap + self.age_out_cap
     }
 }
 
@@ -919,7 +892,6 @@ impl FfwdBreakdown {
 enum Reject {
     NotQuiescent,
     StateMismatch,
-    DeltaMismatch,
     ThresholdCap,
     AgeOutCap,
 }
@@ -938,7 +910,6 @@ struct FfwdState {
     img_a: FfwdImage,
     img_b: FfwdImage,
     delta: NodeCycleDelta,
-    delta2: NodeCycleDelta,
     stats: FfwdStats,
     breakdown: FfwdBreakdown,
 }
@@ -958,7 +929,6 @@ impl FfwdState {
         *match reason {
             Reject::NotQuiescent => &mut b.not_quiescent,
             Reject::StateMismatch => &mut b.state_mismatch,
-            Reject::DeltaMismatch => &mut b.delta_mismatch,
             Reject::ThresholdCap => &mut b.threshold_cap,
             Reject::AgeOutCap => &mut b.age_out_cap,
         } += 1;
@@ -980,8 +950,8 @@ impl FfwdState {
 /// `BTreeMap` statistics on every sample, which breaks the
 /// allocation-free certification the campaign bench's steady-state
 /// allocation gates pin. So the append-only logs are captured as lengths
-/// (the records a hyperperiod appends are read from the live log tail,
-/// see [`CentralNode::run_span`] and
+/// (a jump replays the records the certified hyperperiod appended from
+/// the live log tail, see [`CentralNode::run_span`] and
 /// [`FaultManagementFramework::image_into`]) and the baseline monitors
 /// as flat per-task counts, so a warm capture clones no maps. Runnable
 /// controls are not captured at all — only injector ticks mutate them,
@@ -1009,7 +979,7 @@ struct FfwdImage {
 /// timestamps shift by exactly one hyperperiod, the hardware watchdog's
 /// motion, the fault-log records appended per hyperperiod and the
 /// baseline monitors' per-task detection advances.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 struct NodeCycleDelta {
     os: CycleProgram,
     watchdog: WatchdogCycleDelta,
@@ -1025,10 +995,10 @@ struct NodeCycleDelta {
 /// exactly `h` apart, or reports why the span is not in certifiable
 /// steady state: the kernel was not idle at a sample, or some state moved
 /// in a way no delta expresses. Treatments, the receive mailbox and the
-/// ECU reset count must be untouched; the fault log may only grow (its
-/// records are compared at the guard, see [`CentralNode::run_span`]); the
-/// kernel, watchdog, signal, FMF, hardware-watchdog and monitor layers
-/// must each yield a well-formed delta.
+/// ECU reset count must be untouched; the fault log may only grow (the
+/// records it gained repeat every later hyperperiod, shifted, see
+/// DESIGN.md §9); the kernel, watchdog, signal, FMF, hardware-watchdog
+/// and monitor layers must each yield a well-formed delta.
 fn derive_node_delta(
     a: &FfwdImage,
     b: &FfwdImage,
@@ -1462,6 +1432,54 @@ mod tests {
         assert_eq!(a.os_canonical(), b.os_canonical());
         assert!(a.content_eq(&b), "macro-stepped state diverged across 2^24 µs");
         assert!(fast.world.fault_log.is_empty());
+    }
+
+    /// The fault log has no reader on the dynamics path: twin nodes run a
+    /// persistent heartbeat loss at event level, one twin's log is drained
+    /// midway, and once the drained prefix is put back both end in the
+    /// same state. Certification images the log as its length and a jump
+    /// replays the records the certified hyperperiod appended, so this is
+    /// what one-hyperperiod certification rests on for the log.
+    #[test]
+    fn draining_the_fault_log_changes_no_later_state() {
+        use easis_injection::injector::{ErrorClass, Injection};
+        let run = |drain: bool| {
+            let mut node = CentralNode::build(crate::scenario::campaign_node_config());
+            node.set_fastforward(Some(false));
+            node.start();
+            node.run_span(ms(200));
+            let target = node.runnable("SAFE_CC_process");
+            let mut injector = Injector::new([Injection::new(
+                ErrorClass::HeartbeatLoss { runnable: target },
+                ms(200),
+                ms(2_000),
+            )]);
+            injector.tick(ms(200), &mut node.world.controls, &mut node.os);
+            node.set_injection_armed(true);
+            node.run_span(ms(800));
+            let prefix: Vec<DetectedFault> = if drain {
+                node.world.fault_log.drain(..).collect()
+            } else {
+                Vec::new()
+            };
+            node.run_span(ms(1_500));
+            (node, prefix)
+        };
+        let (a, _) = run(false);
+        let (mut b, prefix) = run(true);
+        assert!(!prefix.is_empty(), "the drained prefix must hold records");
+        assert!(
+            !b.world.fault_log.is_empty(),
+            "the fault must keep logging after the drain"
+        );
+        b.world.fault_log.splice(0..0, prefix);
+        assert_eq!(a.world.fault_log, b.world.fault_log);
+        let (sa, sb) = (a.snapshot(), b.snapshot());
+        assert!(
+            sa.content_eq(&sb),
+            "draining the log changed the node state"
+        );
+        assert_eq!(sa.os_canonical(), sb.os_canonical());
     }
 
     #[test]

@@ -1108,7 +1108,13 @@ proptest! {
     /// `run_span` to the horizon — ends in the same state with
     /// fast-forwarding on as with it off, for every error class and random
     /// windows (including ones armed past the horizon). The armed spans
-    /// are where the affine deltas and the threshold caps do their work.
+    /// are where the affine deltas and the threshold caps do their work:
+    /// each case draws its own TSI error threshold and DTC confirmation
+    /// and age-out thresholds, so the jumps stop short of, cross and
+    /// re-certify after caps at random points of the window. Half the
+    /// cases treat faults: a task turning faulty one hyperperiod late
+    /// leaves no trace in an observe-only end state, but it moves a
+    /// restart.
     #[test]
     fn armed_window_macro_stepping_equals_event_level_simulation(
         class_pick in 0u32..7,
@@ -1117,10 +1123,16 @@ proptest! {
         from_ms in 100u64..600,
         len_ms in 20u64..1_200,
         horizon_ms in 800u64..1_600,
+        error_threshold in 2u32..200,
+        confirm in 1u32..64,
+        age_out in 1u32..160,
+        treat in any::<bool>(),
     ) {
+        use easis::fmf::dtc::DtcStore;
+        use easis::fmf::policy::TreatmentPolicy;
         use easis::injection::injector::{Injection, Injector};
         use easis::validator::scenario::campaign_node_config;
-        use easis::validator::CentralNode;
+        use easis::validator::{CentralNode, NodeConfig};
         let horizon = Instant::from_millis(horizon_ms);
         let fork = Instant::from_millis(from_ms);
         let to = Instant::from_millis(from_ms + len_ms);
@@ -1132,7 +1144,16 @@ proptest! {
         );
         let injection = Injection::new(class, fork, to);
         let run = |ffwd: bool| {
-            let mut node = CentralNode::build(campaign_node_config());
+            let mut node = CentralNode::build(NodeConfig {
+                error_threshold,
+                policy: if treat {
+                    TreatmentPolicy::default()
+                } else {
+                    TreatmentPolicy::observe_only()
+                },
+                ..campaign_node_config()
+            });
+            *node.world.fmf.dtc_mut() = DtcStore::new(confirm, age_out);
             node.set_fastforward(Some(ffwd));
             node.start();
             node.run_span(fork);

@@ -487,7 +487,7 @@ fn macro_stepped_soak_crosses_rotation_boundary_and_detects_fault_past_it() {
     );
     assert!(
         stats.fallbacks >= 1,
-        "the rotation boundary must force an event-level crossing: {stats:?}"
+        "the fault's post-window settling must force an event-level fallback: {stats:?}"
     );
     assert!(stats.certifications >= 1, "{stats:?}");
     assert_eq!(plain.ffwd_stats().fastforwarded, Duration::ZERO);
